@@ -2,9 +2,11 @@
 
 The package tracks the reduced two-qubit density matrix of a pair of
 entangled qubits, each exchange-coupled to a thermally damped auxiliary
-atom, by propagating a closed 9-dimensional coefficient equation per
-subsystem and reassembling the joint state.  Concurrence, entanglement of
-formation and sudden-death/revival events are computed from the result.
+atom.  Each pair evolves independently under a closed 9-dimensional
+coefficient equation, and each qubit enters the joint X state only through
+two scalar responses read off its generator: a population response s_k(t)
+and a coherence response u_k(t).  Concurrence, entanglement of formation
+and sudden-death/revival events are computed from the result.
 
 Three independent cross-checks ship with the package: a brute-force
 16-dimensional master-equation integration, a memory-kernel (Volterra)
@@ -20,14 +22,11 @@ from .entanglement import (
     EntanglementSeries,
     EventKind,
     concurrence_general,
-    concurrence_x,
     entanglement_of_formation,
     extract_events,
     markovian_rate,
-    precursor,
 )
 from .model import (
-    BLOCKS,
     InitialTerm,
     ModelParams,
     P_INDICES,
@@ -45,30 +44,15 @@ from .oracle import (
     evolve_full,
     partial_trace_34,
 )
-from .pipeline import SimulationResult, simulate
+from .pipeline import RunHealthError, SimulationResult, simulate
 from .presets import PRESETS, default_grid, preset_params
-from .propagator import (
-    BlockPropagator,
-    SubsystemTrajectory,
-    TimeGrid,
-    evolve_subsystem,
-    propagate,
-)
-from .reconstruction import (
-    XStateMatrix,
-    XStructureError,
-    assemble_rho12,
-    rho12_series,
-    single_atom_block,
-    to_x_state,
-)
+from .propagator import TimeGrid, evolve_x_state, responses, slow_solution
+from .reconstruction import x_matrix
 
 __all__ = [
     "__version__",
-    "BLOCKS",
     "P_INDICES",
     "Q_INDICES",
-    "BlockPropagator",
     "ConfigError",
     "EntanglementEvent",
     "EntanglementSeries",
@@ -78,24 +62,20 @@ __all__ = [
     "ModelParams",
     "PRESETS",
     "ParameterError",
+    "RunHealthError",
     "Scenario",
     "SimulationResult",
-    "SubsystemTrajectory",
     "SweepSpec",
     "TimeGrid",
-    "XStateMatrix",
-    "XStructureError",
-    "assemble_rho12",
     "build_full_liouvillian",
     "build_generator",
     "build_kernel",
     "choi_of_subsystem_map",
     "concurrence_general",
-    "concurrence_x",
     "default_grid",
     "entanglement_of_formation",
     "evolve_full",
-    "evolve_subsystem",
+    "evolve_x_state",
     "extract_events",
     "initial_coefficients",
     "local_term",
@@ -103,14 +83,12 @@ __all__ = [
     "parse_scenario",
     "parse_sweep",
     "partial_trace_34",
-    "precursor",
     "preset_params",
     "projector_pair",
-    "propagate",
-    "rho12_series",
+    "responses",
     "simulate",
-    "single_atom_block",
+    "slow_solution",
     "solve_nz",
     "thermal_state",
-    "to_x_state",
+    "x_matrix",
 ]

@@ -8,7 +8,8 @@ Subcommands:
     list-presets  show the built-in parameter table
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or configuration error,
-3 numerical failure.  NMQ_THREADS caps sweep parallelism.
+3 numerical failure (an unhealthy run, or memory exhaustion).  NMQ_THREADS
+caps sweep parallelism.
 """
 
 import argparse
@@ -62,10 +63,10 @@ def _scenario_from_args(args) -> tuple[Scenario, str]:
 
 def cmd_simulate(args) -> int:
     scenario, text = _scenario_from_args(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = simulate(scenario.params, scenario.grid)
     events = extract_events(result.series, threshold=scenario.threshold)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     files = [out / "trajectory.csv", out / "events.csv"]
     write_trajectory_csv(files[0], result)
     write_events_csv(files[1], events)
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (ArithmeticError, MemoryError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -20,7 +20,7 @@ Keys and defaults:
     gamma        reservoir damping rate     default 0.5
     nbar         thermal occupation         default 0
     t_end        end of the time grid       default 10
-    num_points   grid points                default 2001
+    num_points   grid points                default 2001, at most GRID_CAP
     threshold    event detection threshold  default 1e-6
     svg          also write an SVG plot     default false
 """
@@ -37,6 +37,8 @@ from .propagator import TimeGrid
 __all__ = ["ConfigError", "Scenario", "SweepSpec", "parse_scenario", "parse_sweep"]
 
 SWEEP_CAP = 100_000
+# largest num_points accepted; a run holds a few arrays of this length
+GRID_CAP = 1_000_000
 
 _PHYSICAL_KEYS = (
     "omega1", "omega2", "delta1", "delta2", "omega3", "omega4",
@@ -182,6 +184,10 @@ def _build_grid(pairs: dict) -> TimeGrid:
             raise ConfigError("key 'num_points' must be an integer", key="num_points") from None
     else:
         num_points = DEFAULT_NUM_POINTS
+    if num_points > GRID_CAP:
+        raise ConfigError(
+            f"num_points {num_points} is more than the cap {GRID_CAP}", key="num_points"
+        )
     try:
         return TimeGrid(0.0, t_end, num_points)
     except ValueError as exc:

@@ -21,7 +21,6 @@ from scipy.special import xlogy
 
 from .model import ModelParams
 from .propagator import TimeGrid
-from .reconstruction import XStateMatrix
 
 __all__ = [
     "EventKind",
@@ -29,8 +28,6 @@ __all__ = [
     "EntanglementSeries",
     "concurrence_general",
     "concurrence_general_series",
-    "concurrence_x",
-    "precursor",
     "precursor_from_components",
     "entanglement_of_formation",
     "markovian_rate",
@@ -95,19 +92,11 @@ def concurrence_general(rho: np.ndarray, tol: float = 1e-6) -> float:
     return float(concurrence_general_series(np.asarray(rho)[None], tol=tol)[0])
 
 
-def concurrence_x(x: XStateMatrix) -> float:
-    """Analytic concurrence of an X state: 2 max(0, |f| - sqrt(b c))."""
-    return max(0.0, precursor(x))
-
-
-def precursor(x: XStateMatrix) -> float:
-    """Unclamped 2(|f| - sqrt(b c)); negative values measure how dead."""
-    bc = max(x.b, 0.0) * max(x.c, 0.0)
-    return 2.0 * (abs(x.f) - np.sqrt(bc))
-
-
 def precursor_from_components(b, c, f) -> np.ndarray:
-    """Vectorized precursor from component arrays."""
+    """Unclamped 2(|f| - sqrt(b c)) from component arrays; negative values measure how dead.
+
+    The analytic concurrence of an X state is its positive part.
+    """
     bc = np.clip(b, 0.0, None) * np.clip(c, 0.0, None)
     return 2.0 * (np.abs(f) - np.sqrt(bc))
 

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BLOCKS",
     "P_INDICES",
     "Q_INDICES",
     "InitialTerm",
@@ -68,9 +67,6 @@ __all__ = [
     "projector_pair",
     "thermal_state",
 ]
-
-#: Index groups on which the generator acts independently.
-BLOCKS: tuple[tuple[int, ...], ...] = ((0,), (1, 2, 3, 4), (5, 6), (7, 8))
 
 #: Coefficient indices that survive the partial trace over the auxiliary atom.
 P_INDICES: tuple[int, ...] = (0, 1, 5, 7)

@@ -27,7 +27,8 @@ __all__ = ["MemoryKernelSamples", "build_kernel", "local_term", "solve_nz"]
 _P = np.array(P_INDICES)
 _Q = np.array(Q_INDICES)
 
-# matches the propagator's defectiveness guard
+# eigenvector condition number beyond which QLQ is treated as defective;
+# the primary path uses no eigendecomposition, so this is the only copy
 _EIG_COND_LIMIT = 1e8
 
 

@@ -1,9 +1,10 @@
-"""End-to-end simulation: propagate, reconstruct, measure entanglement.
+"""End-to-end simulation: responses, X state, entanglement.
 
-This is the path the CLI drives.  It also builds the continuous-time
-precursor evaluator used to refine event times: because the propagation is
-an exact matrix exponential, the reconstructed state can be evaluated at
-arbitrary t, not just on the sample grid.
+This is the path the CLI drives.  Each qubit enters only through its two
+scalar responses s_k and u_k (see :mod:`nmqsim.propagator`), which give the
+X-state components at any time, not just on the sample grid; the
+continuous-time precursor used to refine event times is the same call at a
+single time.
 """
 
 from dataclasses import dataclass
@@ -15,11 +16,18 @@ from .entanglement import (
     entanglement_of_formation,
     precursor_from_components,
 )
-from .model import InitialTerm, ModelParams, build_generator, initial_coefficients
-from .propagator import BlockPropagator, TimeGrid, evolve_subsystem
-from .reconstruction import TERMS, rho12_series, single_atom_block, x_components
+from .model import ModelParams, build_generator
+from .propagator import TimeGrid, evolve_x_state
+from .reconstruction import x_matrix
 
-__all__ = ["SimulationResult", "simulate", "precursor_evaluator"]
+__all__ = ["HEALTH_TOL", "RunHealthError", "SimulationResult", "simulate"]
+
+#: Slack allowed on each run-health condition checked by :func:`simulate`.
+HEALTH_TOL = 1e-9
+
+
+class RunHealthError(ArithmeticError):
+    """A run produced non-finite or unphysical X-state components."""
 
 
 @dataclass(frozen=True)
@@ -33,38 +41,43 @@ class SimulationResult:
     c: np.ndarray
     d: np.ndarray
     f: np.ndarray
-    rho: np.ndarray  # (n, 4, 4)
     series: EntanglementSeries
 
-
-def precursor_evaluator(params: ModelParams):
-    """Continuous-time precursor t -> 2(|f(t)| - sqrt(b(t) c(t)))."""
-    props = [BlockPropagator(build_generator(params, k)) for k in (1, 2)]
-    inits = {term: initial_coefficients(term, params.nbar) for term in TERMS}
-
-    def at(t: float) -> float:
-        rho = np.zeros((4, 4), dtype=complex)
-        ts = np.array([t], dtype=float)
-        for term in TERMS:
-            m1 = single_atom_block(props[0].apply(inits[term], ts)[0], params.nbar)
-            m2 = single_atom_block(props[1].apply(inits[term], ts)[0], params.nbar)
-            rho += np.kron(m1, m2)
-        rho *= 0.5
-        b = max(rho[1, 1].real, 0.0)
-        c = max(rho[2, 2].real, 0.0)
-        return 2.0 * (abs(rho[0, 3]) - np.sqrt(b * c))
-
-    return at
+    @property
+    def rho(self) -> np.ndarray:
+        """Reduced density matrix at every grid point, shape (n, 4, 4), built on demand."""
+        return x_matrix(self.a, self.b, self.c, self.d, self.f)
 
 
-def simulate(
-    params: ModelParams, grid: TimeGrid, structure_tol: float = 1e-9
-) -> SimulationResult:
-    """Run the full coefficient-space pipeline on a time grid."""
-    traj1 = evolve_subsystem(params, 1, grid)
-    traj2 = evolve_subsystem(params, 2, grid)
-    rho = rho12_series(traj1, traj2, params.nbar)
-    a, b, c, d, f = x_components(rho, tol=structure_tol)
+def _check_health(a, b, c, d, f) -> None:
+    """Raise RunHealthError unless the components form a density matrix."""
+    if not all(np.all(np.isfinite(x)) for x in (a, b, c, d, f)):
+        raise RunHealthError("non-finite X-state component")
+    worst = min(float(x.min()) for x in (a, b, c, d))
+    if worst < -HEALTH_TOL:
+        raise RunHealthError(f"negative population {worst:.3e}")
+    excess = float((np.abs(f) ** 2 - a * d).max())
+    if excess > HEALTH_TOL:
+        raise RunHealthError(f"|f|^2 exceeds ad by {excess:.3e}")
+    trace_dev = float(np.abs(a + b + c + d - 1.0).max())
+    if trace_dev > HEALTH_TOL:
+        raise RunHealthError(f"trace differs from 1 by {trace_dev:.3e}")
+
+
+def simulate(params: ModelParams, grid: TimeGrid) -> SimulationResult:
+    """Run the primary pipeline on a time grid.
+
+    Raises RunHealthError, an ArithmeticError, when the components are
+    non-finite or not a density matrix to within HEALTH_TOL.
+    """
+    generators = [build_generator(params, k) for k in (1, 2)]
+    a, b, c, d, f = evolve_x_state(generators, params.nbar, grid.points)
+    _check_health(a, b, c, d, f)
+
+    def precursor_at(t: float) -> float:
+        _, bt, ct, _, ft = evolve_x_state(generators, params.nbar, [t])
+        return float(precursor_from_components(bt, ct, ft)[0])
+
     prec = precursor_from_components(b, c, f)
     conc = np.clip(prec, 0.0, 1.0)
     eof = entanglement_of_formation(conc)
@@ -73,8 +86,6 @@ def simulate(
         concurrence=conc,
         precursor=prec,
         eof=eof,
-        precursor_fn=precursor_evaluator(params),
+        precursor_fn=precursor_at,
     )
-    return SimulationResult(
-        params=params, grid=grid, a=a, b=b, c=c, d=d, f=f, rho=rho, series=series
-    )
+    return SimulationResult(params=params, grid=grid, a=a, b=b, c=c, d=d, f=f, series=series)

@@ -1,185 +1,38 @@
-"""Assembly of the reduced two-qubit density matrix from coefficient trajectories.
+"""The reduced two-qubit density matrix as an X state.
 
-The reduced state of the two principal qubits is rebuilt from the four
-per-subsystem coefficient trajectories as
-
-    rho12(t) = 1/2 * sum_m  M_m^(1)(t) (x) M_m^(2)(t),   m in {EE, GG, EG, GE}
-
-where each 2x2 block M is a fixed linear read-out of coefficient components
-0, 1, 5 and 7.  The thermal factor carried by the auxiliary atoms is dropped
-throughout: it has unit trace and never feeds back into observables on the
-principal qubits.
+Each qubit enters the reduced state only through its population and
+coherence responses s_k and u_k (see :mod:`nmqsim.propagator`), which give
+the five X-state numbers a, b, c, d and f directly; the dynamics never
+leaves the X pattern, so the primary path stores only those five arrays.
+The 4x4 matrix is built on demand for the cross-checks and tests that
+compare all sixteen entries.
 
 Basis order is excited-first everywhere, so the two-qubit product basis is
 (|11>, |10>, |01>, |00>) and the Bell initial state has 1/2 at the four
 corners of the 4x4 matrix.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import InitialTerm
-from .propagator import SubsystemTrajectory
-
-__all__ = [
-    "XStructureError",
-    "XStateMatrix",
-    "single_atom_block",
-    "block_series",
-    "assemble_rho12",
-    "rho12_series",
-    "to_x_state",
-    "x_components",
-    "physicality_deviations",
-]
-
-TERMS = (InitialTerm.EE, InitialTerm.GG, InitialTerm.EG, InitialTerm.GE)
+__all__ = ["x_matrix", "physicality_deviations"]
 
 
-class XStructureError(ValueError):
-    """A reconstructed matrix has weight outside the X sparsity pattern."""
-
-
-@dataclass(frozen=True)
-class XStateMatrix:
-    """Two-qubit X state: populations a, b, c, d and corner coherence f.
+def x_matrix(a, b, c, d, f) -> np.ndarray:
+    """X-state density matrices from their components, shape (..., 4, 4).
 
     a sits at |11><11|, b at |10><10|, c at |01><01|, d at |00><00| and
-    f at <11|rho|00|.  Populations are real; the conjugate corner is
-    implied by Hermiticity.
+    f at <11|rho|00>; the conjugate corner is conj(f), so the result is
+    Hermitian exactly.
     """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    f: complex
-
-    def as_matrix(self) -> np.ndarray:
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = self.a, self.b, self.c, self.d
-        rho[0, 3] = self.f
-        rho[3, 0] = np.conj(self.f)
-        return rho
-
-
-def single_atom_block(m, nbar: float) -> np.ndarray:
-    """Read the 2x2 single-atom matrix off a 9-component coefficient vector.
-
-    Only components 0, 1, 5, 7 enter: the remaining operators of the basis
-    are traceless on the principal qubit once the auxiliary atom is traced
-    out.
-    """
-    m = np.asarray(m)
-    w = 2.0 * nbar + 1.0
-    return np.array(
-        [
-            [nbar / w * m[0] + m[1], m[5]],
-            [m[7], (nbar + 1.0) / w * m[0] - m[1]],
-        ],
-        dtype=complex,
-    )
-
-
-def block_series(traj: SubsystemTrajectory, term: InitialTerm, nbar: float) -> np.ndarray:
-    """Vectorized single_atom_block over a whole trajectory, shape (n, 2, 2)."""
-    m = traj[term]
-    w = 2.0 * nbar + 1.0
-    out = np.empty((m.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = nbar / w * m[:, 0] + m[:, 1]
-    out[:, 0, 1] = m[:, 5]
-    out[:, 1, 0] = m[:, 7]
-    out[:, 1, 1] = (nbar + 1.0) / w * m[:, 0] - m[:, 1]
-    return out
-
-
-def _check_grids(traj1: SubsystemTrajectory, traj2: SubsystemTrajectory):
-    if traj1.grid != traj2.grid:
-        raise ValueError("subsystem trajectories were computed on different grids")
-
-
-def assemble_rho12(
-    traj1: SubsystemTrajectory,
-    traj2: SubsystemTrajectory,
-    nbar: float,
-    t_index: int,
-) -> np.ndarray:
-    """Reduced two-qubit density matrix at one grid index."""
-    _check_grids(traj1, traj2)
-    rho = np.zeros((4, 4), dtype=complex)
-    for term in TERMS:
-        m1 = single_atom_block(traj1[term][t_index], nbar)
-        m2 = single_atom_block(traj2[term][t_index], nbar)
-        rho += np.kron(m1, m2)
-    return 0.5 * rho
-
-
-def rho12_series(
-    traj1: SubsystemTrajectory, traj2: SubsystemTrajectory, nbar: float
-) -> np.ndarray:
-    """Reduced density matrix at every grid point, shape (n, 4, 4)."""
-    _check_grids(traj1, traj2)
-    n = traj1.grid.num_points
-    rho = np.zeros((n, 4, 4), dtype=complex)
-    for term in TERMS:
-        b1 = block_series(traj1, term, nbar)
-        b2 = block_series(traj2, term, nbar)
-        rho += np.einsum("nij,nkl->nikjl", b1, b2).reshape(n, 4, 4)
-    return 0.5 * rho
-
-
-# Entries allowed by the X pattern: diagonal plus the two anti-diagonal corners.
-_X_MASK = np.zeros((4, 4), dtype=bool)
-_X_MASK[np.arange(4), np.arange(4)] = True
-_X_MASK[0, 3] = _X_MASK[3, 0] = True
-
-
-def to_x_state(rho: np.ndarray, tol: float = 1e-9) -> XStateMatrix:
-    """Extract (a, b, c, d, f), insisting the matrix really is an X state.
-
-    The dynamics preserves the X form exactly, so weight outside the
-    pattern beyond tol signals a solver bug rather than physics.
-    """
-    rho = np.asarray(rho)
-    off = np.abs(np.where(_X_MASK, 0.0, rho))
-    worst = off.max()
-    if worst > tol:
-        i, j = np.unravel_index(np.argmax(off), off.shape)
-        raise XStructureError(
-            f"entry ({i},{j}) has magnitude {worst:.3e}, outside the X pattern"
-        )
-    return XStateMatrix(
-        a=rho[0, 0].real,
-        b=rho[1, 1].real,
-        c=rho[2, 2].real,
-        d=rho[3, 3].real,
-        f=complex(rho[0, 3]),
-    )
-
-
-def x_components(rhos: np.ndarray, tol: float = 1e-9):
-    """X-state components for a (n, 4, 4) series: arrays a, b, c, d, f.
-
-    Raises XStructureError if any matrix in the series leaks outside the
-    pattern by more than tol.
-    """
-    rhos = np.asarray(rhos)
-    off = np.abs(np.where(_X_MASK[None, :, :], 0.0, rhos))
-    worst = off.max()
-    if worst > tol:
-        k = np.unravel_index(np.argmax(off), off.shape)
-        raise XStructureError(
-            f"series index {k[0]}: entry ({k[1]},{k[2]}) has magnitude "
-            f"{worst:.3e}, outside the X pattern"
-        )
-    return (
-        rhos[:, 0, 0].real,
-        rhos[:, 1, 1].real,
-        rhos[:, 2, 2].real,
-        rhos[:, 3, 3].real,
-        rhos[:, 0, 3].copy(),
-    )
+    a, b, c, d, f = np.broadcast_arrays(a, b, c, d, f)
+    rho = np.zeros(a.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = a
+    rho[..., 1, 1] = b
+    rho[..., 2, 2] = c
+    rho[..., 3, 3] = d
+    rho[..., 0, 3] = f
+    rho[..., 3, 0] = np.conj(f)
+    return rho
 
 
 def physicality_deviations(rhos: np.ndarray):

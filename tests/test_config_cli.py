@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nmqsim.cli import main
-from nmqsim.config import SWEEP_CAP, ConfigError, parse_scenario, parse_sweep
+from nmqsim.config import GRID_CAP, SWEEP_CAP, ConfigError, parse_scenario, parse_sweep
 from nmqsim.presets import PRESETS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -251,6 +251,42 @@ def test_single_point_sweep_matches_simulate(tmp_path):
 def test_sweep_cap_exit_code(tmp_path):
     cfg = write_config(tmp_path, "alpha1 = 0:1:50\ngamma = 0.1:1:50\nnbar = 0:1:50\n")
     assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_grid_cap_exit_code(tmp_path, monkeypatch):
+    # checked by the parser only: a run at this size would allocate gigabytes
+    text = "num_points = 100000000\n"
+    assert 100_000_000 > GRID_CAP
+    for parse in (parse_scenario, parse_sweep):
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        assert err.value.key == "num_points"
+
+    def never(*_args):
+        raise AssertionError("simulate ran past the grid cap")
+
+    monkeypatch.setattr("nmqsim.cli.simulate", never)
+    cfg = write_config(tmp_path, text)
+    assert main(["simulate", cfg, "--out", str(tmp_path / "big")]) == 2
+
+
+def test_memory_error_exit_code(tmp_path, monkeypatch):
+    def exhausted(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr("nmqsim.cli.simulate", exhausted)
+    out = tmp_path / "oom"
+    assert main(["simulate", "--preset", "fig2", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_unhealthy_run_exit_code(tmp_path):
+    # the coupling overflows the exponentials; nothing may be written
+    cfg = write_config(tmp_path, "alpha1 = 1e200\n")
+    out = tmp_path / "overflow"
+    with np.errstate(all="ignore"):
+        assert main(["simulate", cfg, "--out", str(out)]) == 3
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_sweep_thread_env(tmp_path, monkeypatch):

@@ -10,11 +10,9 @@ from nmqsim.entanglement import (
     EventKind,
     concurrence_general,
     concurrence_general_series,
-    concurrence_x,
     entanglement_of_formation,
     extract_events,
     markovian_rate,
-    precursor,
     precursor_from_components,
     spin_flip,
 )
@@ -22,7 +20,7 @@ from nmqsim.model import ModelParams
 from nmqsim.pipeline import simulate
 from nmqsim.presets import default_grid, preset_params
 from nmqsim.propagator import TimeGrid
-from nmqsim.reconstruction import XStateMatrix
+from nmqsim.reconstruction import x_matrix
 
 BELL = 0.5 * np.array([
     [1, 0, 0, 1],
@@ -35,10 +33,14 @@ BELL = 0.5 * np.array([
 H_09 = 0.46899559358928122125
 
 
+def analytic_concurrence(a, b, c, d, f):
+    """Analytic X-state concurrence: the positive part of the precursor."""
+    return max(0.0, float(precursor_from_components(b, c, f)))
+
+
 def test_bell_state_concurrence():
     assert concurrence_general(BELL) == pytest.approx(1.0, abs=1e-12)
-    x = XStateMatrix(a=0.5, b=0.0, c=0.0, d=0.5, f=0.5)
-    assert concurrence_x(x) == pytest.approx(1.0, abs=1e-15)
+    assert analytic_concurrence(0.5, 0.0, 0.0, 0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_product_state_concurrence():
@@ -47,19 +49,18 @@ def test_product_state_concurrence():
 
 
 def test_x_state_examples():
-    x = XStateMatrix(a=0.3, b=0.2, c=0.2, d=0.3, f=0.25)
-    assert concurrence_x(x) == pytest.approx(0.1, abs=1e-15)
-    assert concurrence_general(x.as_matrix()) == pytest.approx(0.1, abs=1e-10)
+    x = (0.3, 0.2, 0.2, 0.3, 0.25)
+    assert analytic_concurrence(*x) == pytest.approx(0.1, abs=1e-15)
+    assert concurrence_general(x_matrix(*x)) == pytest.approx(0.1, abs=1e-10)
 
-    x = XStateMatrix(a=0.46, b=0.04, c=0.04, d=0.46, f=0.3)
-    assert concurrence_x(x) == pytest.approx(0.52, abs=1e-15)
-    assert concurrence_general(x.as_matrix()) == pytest.approx(0.52, abs=1e-10)
+    x = (0.46, 0.04, 0.04, 0.46, 0.3)
+    assert analytic_concurrence(*x) == pytest.approx(0.52, abs=1e-15)
+    assert concurrence_general(x_matrix(*x)) == pytest.approx(0.52, abs=1e-10)
 
 
 def test_precursor_examples():
-    x = XStateMatrix(a=0.32, b=0.18, c=0.18, d=0.32, f=0.1)
-    assert precursor(x) == pytest.approx(-0.16, abs=1e-15)
-    assert concurrence_x(x) == 0.0
+    assert precursor_from_components(0.18, 0.18, 0.1) == pytest.approx(-0.16, abs=1e-15)
+    assert analytic_concurrence(0.32, 0.18, 0.18, 0.32, 0.1) == 0.0
     vals = precursor_from_components(
         np.array([0.18, 0.0]), np.array([0.18, 0.0]), np.array([0.1, 0.5])
     )
@@ -79,8 +80,8 @@ def test_precursor_examples():
 def test_analytic_route_matches_general_route(pops, ratio, phase):
     a, b, c, d = np.array(pops) / np.sum(pops)
     f = ratio * np.sqrt(a * d) * np.exp(1j * phase)
-    x = XStateMatrix(a=a, b=b, c=c, d=d, f=f)
-    assert abs(concurrence_x(x) - concurrence_general(x.as_matrix())) < 1e-10
+    x = (a, b, c, d, f)
+    assert abs(analytic_concurrence(*x) - concurrence_general(x_matrix(*x))) < 1e-10
 
 
 def test_spin_flip_involution():
@@ -93,8 +94,7 @@ def test_spin_flip_involution():
 
 def test_local_unitary_invariance():
     rng = np.random.default_rng(11)
-    x = XStateMatrix(a=0.3, b=0.15, c=0.25, d=0.3, f=0.2 * np.exp(0.7j))
-    rho = x.as_matrix()
+    rho = x_matrix(0.3, 0.15, 0.25, 0.3, 0.2 * np.exp(0.7j))
     base = concurrence_general(rho)
     for _ in range(5):
         u1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))

@@ -1,16 +1,18 @@
-"""Block propagation of the coefficient vector."""
+"""Per-qubit responses s(t), u(t) and the X state they build."""
 
-import logging
-
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nmqsim.model import InitialTerm, build_generator, initial_coefficients
+from nmqsim.model import ModelParams, build_generator
 from nmqsim.presets import preset_params
-from nmqsim.propagator import BlockPropagator, TimeGrid, evolve_subsystem, propagate
+from nmqsim.propagator import TimeGrid, evolve_x_state, responses
+from nmqsim.reconstruction import physicality_deviations, x_matrix
 
 # reference coefficients for the resonant strongly-coupled scenario,
-# excited-excited term at t = 1, from a 250-digit matrix exponential
+# excited-excited term at t = 1, from a 250-digit matrix exponential;
+# at nbar = 0 component 1 is the population response s(1)
 FIG2_EE_T1 = np.array([
     1.0,
     0.3256711746903205,
@@ -19,6 +21,13 @@ FIG2_EE_T1 = np.array([
     0.3140877290776193,
     0.0, 0.0, 0.0, 0.0,
 ], dtype=complex)
+
+
+def resonant(alpha, gamma, nbar, omega=10.0):
+    return ModelParams.from_detunings(
+        omega1=omega, delta1=0.0, delta2=0.0,
+        alpha1=alpha, alpha2=alpha, gamma=gamma, nbar=nbar,
+    )
 
 
 def test_grid_properties():
@@ -39,151 +48,152 @@ def test_grid_validation():
 
 
 def test_time_zero_is_identity():
-    params = preset_params("fig2")
-    gen = build_generator(params, 1)
-    prop = BlockPropagator(gen)
-    for term in InitialTerm:
-        init = initial_coefficients(term, params.nbar)
-        out = prop.apply(init, np.array([0.0]))[0]
-        assert np.abs(out - init).max() < 1e-12
+    for name in ("fig2", "fig6"):
+        s, u = responses(build_generator(preset_params(name), 1), [0.0])
+        assert abs(s[0] - 1.0) < 1e-15
+        assert abs(u[0] - 1.0) < 1e-15
 
 
 def test_normalization_component_constant():
-    # c0 multiplies the invariant thermal background, so it never moves
+    # index 0, the thermal reference, never moves: once s and u have
+    # decayed, both qubits sit in the thermal state diag(nbar, nbar+1)/w
     params = preset_params("fig6")
-    gen = build_generator(params, 1)
-    grid = TimeGrid(0.0, 10.0, 101)
-    traj = propagate(gen, initial_coefficients(InitialTerm.EE, params.nbar), grid)
-    assert np.abs(traj[:, 0] - 1.0).max() < 1e-12
+    n, w = params.nbar, 2.0 * params.nbar + 1.0
+    grid = TimeGrid(0.0, 400.0 / params.gamma_eff, 101)
+    a, b, c, d, f = evolve_x_state(
+        [build_generator(params, k) for k in (1, 2)], n, grid.points
+    )
+    thermal = np.array([n * n, n * (n + 1.0), n * (n + 1.0), (n + 1.0) ** 2]) / w**2
+    assert np.abs(np.array([a[-1], b[-1], c[-1], d[-1]]) - thermal).max() < 1e-12
+    assert abs(f[-1]) < 1e-12
+    assert np.abs(a + b + c + d - 1.0).max() < 1e-12
 
 
 def test_frozen_fig2_ee_coefficients():
-    params = preset_params("fig2")
-    prop = BlockPropagator(build_generator(params, 1))
-    out = prop.apply(initial_coefficients(InitialTerm.EE, 0.0), np.array([1.0]))[0]
-    assert np.abs(out - FIG2_EE_T1).max() < 1e-9
+    s, _ = responses(build_generator(preset_params("fig2"), 1), [1.0])
+    assert abs(s[0] - FIG2_EE_T1[1].real) < 1e-9
 
 
 def test_semigroup_property():
-    params = preset_params("fig3")
-    prop = BlockPropagator(build_generator(params, 1))
-    init = initial_coefficients(InitialTerm.EE, params.nbar)
-    direct = prop.apply(init, np.array([1.9]))[0]
-    mid = prop.apply(init, np.array([0.7]))[0]
-    stepped = prop.apply(mid, np.array([1.2]))[0]
-    assert np.abs(stepped - direct).max() < 1e-9
+    # a two-point grid starting at 0.7 composes expm(B 0.7) with expm(B 1.2)
+    gen = build_generator(preset_params("fig3"), 1)
+    s_direct, u_direct = responses(gen, [1.9])
+    s_stepped, u_stepped = responses(gen, [0.7, 1.9])
+    assert abs(s_stepped[1] - s_direct[0]) < 1e-12
+    assert abs(u_stepped[1] - u_direct[0]) < 1e-12
 
 
 def test_ode_residual():
-    # central difference of the propagated coefficients satisfies dc/dt = L c
-    params = preset_params("fig2")
-    gen = build_generator(params, 1)
-    prop = BlockPropagator(gen)
-    init = initial_coefficients(InitialTerm.EG, params.nbar)
+    # any entry of exp(C t) for a 2x2 C solves y'' = tr(C) y' - det(C) y
+    gen = build_generator(preset_params("fig2"), 1)
+    block = gen[5:7, 5:7]
     dt = 1e-4
-    times = np.arange(1, 2000) * dt
-    traj = prop.apply(init, times)
-    deriv = (traj[2:] - traj[:-2]) / (2 * dt)
-    rhs = traj[1:-1] @ gen.T
-    assert np.abs(deriv - rhs).max() < 1e-4
+    _, u = responses(gen, np.arange(1, 2000) * dt)
+    first = (u[2:] - u[:-2]) / (2 * dt)
+    second = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dt**2
+    residual = second - np.trace(block) * first + np.linalg.det(block) * u[1:-1]
+    scale = np.abs(np.linalg.det(block) * u).max()
+    assert np.abs(residual).max() < 1e-5 * scale
 
 
 def test_blocks_do_not_mix():
+    # the X pattern is structural: no weight ever lands outside it
     params = preset_params("fig7")
-    prop = BlockPropagator(build_generator(params, 1))
     grid = TimeGrid(0.0, 10.0, 201)
-    blocks = [[0], [1, 2, 3, 4], [5, 6], [7, 8]]
-    for block in blocks:
-        init = np.zeros(9, dtype=complex)
-        for i in block:
-            init[i] = 1.0
-        traj = prop.apply(init, grid.points)
-        outside = np.delete(traj, block, axis=1)
-        assert np.abs(outside).max() < 1e-12
+    rho = x_matrix(*evolve_x_state(
+        [build_generator(params, k) for k in (1, 2)], params.nbar, grid.points
+    ))
+    off = np.ones((4, 4), dtype=bool)
+    off[np.arange(4), np.arange(4)] = False
+    off[0, 3] = off[3, 0] = False
+    assert np.all(rho[:, off] == 0.0)
 
 
 def test_raising_lowering_trajectories_conjugate():
-    params = preset_params("fig3")
-    prop = BlockPropagator(build_generator(params, 1))
-    grid = TimeGrid(0.0, 10.0, 401)
-    eg = prop.apply(initial_coefficients(InitialTerm.EG, params.nbar), grid.points)
-    ge = prop.apply(initial_coefficients(InitialTerm.GE, params.nbar), grid.points)
-    assert np.abs(ge[:, [7, 8]] - np.conj(eg[:, [5, 6]])).max() < 1e-12
+    # the lowering block {7, 8} is the conjugate of the raising block {5, 6},
+    # so its response is conj(u)
+    gen = build_generator(preset_params("fig3"), 1)
+    times = np.linspace(0.0, 10.0, 401)
+    _, u = responses(gen, times)
+    lowering = np.array([scipy.linalg.expm(gen[7:9, 7:9] * t)[0, 0] for t in times])
+    assert np.abs(lowering - np.conj(u)).max() < 1e-12
 
 
 def test_alpha_zero_freezes_populations():
-    params = preset_params("fig2")
-    params = type(params).from_detunings(
+    params = ModelParams.from_detunings(
         omega1=10.0, delta1=2.0, delta2=2.0,
         alpha1=0.0, alpha2=0.0, gamma=0.5, nbar=0.0,
     )
-    prop = BlockPropagator(build_generator(params, 1))
-    grid = TimeGrid(0.0, 5.0, 51)
-    traj = prop.apply(initial_coefficients(InitialTerm.EE, 0.0), grid.points)
-    assert np.abs(traj[:, 1] - 1.0).max() < 1e-12
+    s, _ = responses(build_generator(params, 1), TimeGrid(0.0, 5.0, 51).points)
+    assert np.abs(s - 1.0).max() < 1e-12
 
 
-def test_defective_block_falls_back(caplog):
-    # gamma_eff/2 equals alpha, so the coherence block is a Jordan block
-    params = type(preset_params("fig2")).from_detunings(
-        omega1=10.0, delta1=0.0, delta2=0.0,
-        alpha1=0.25, alpha2=0.25, gamma=0.5, nbar=0.0,
-    )
-    gen = build_generator(params, 1)
-    with caplog.at_level(logging.INFO, logger="nmqsim.propagator"):
-        prop = BlockPropagator(gen)
-    assert any("ill conditioned" in rec.getMessage() for rec in caplog.records)
-    import scipy.linalg
-
-    t = 1.7
-    expm_ref = scipy.linalg.expm(gen * t)
-    # the population block takes the dense route, so it matches tightly;
-    # the coherence block stays on the eig route near its cond limit
-    ee = initial_coefficients(InitialTerm.EE, 0.0)
-    out = prop.apply(ee, np.array([t]))[0]
-    assert np.abs(out - expm_ref @ ee).max() < 1e-12
-    eg = initial_coefficients(InitialTerm.EG, 0.0)
-    out = prop.apply(eg, np.array([t]))[0]
-    assert np.abs(out - expm_ref @ eg).max() < 1e-8
+def test_exceptional_point_sweep():
+    # for zero detuning both blocks are defective at alpha = gamma_eff / 2;
+    # s and u must match a 50-digit exponential on both sides and on it
+    mpmath.mp.dps = 50
+    for nbar in (0.0, 0.2):
+        critical = 0.5 * (2.0 * nbar + 1.0) * 0.5
+        for rel in (-1e-2, -1e-6, -1e-10, 0.0, 1e-10, 1e-6, 1e-2):
+            params = resonant(critical * (1.0 + rel), 0.5, nbar)
+            gen = build_generator(params, 1)
+            for t in (0.5, 2.0, 10.0):
+                s, u = responses(gen, [t])
+                ref_s = mpmath.expm(mpmath.matrix(gen[1:5, 1:5].tolist()) * t)[0, 0]
+                ref_u = mpmath.expm(mpmath.matrix(gen[5:7, 5:7].tolist()) * t)[0, 0]
+                assert abs(s[0] - float(mpmath.re(ref_s))) < 1e-12
+                assert abs(u[0] - complex(ref_u)) < 1e-12
+            grid = TimeGrid(0.0, 10.0, 201)
+            rho = x_matrix(*evolve_x_state(
+                [build_generator(params, k) for k in (1, 2)], nbar, grid.points
+            ))
+            trace_dev, herm_dev, min_eig = physicality_deviations(rho)
+            assert trace_dev < 1e-12
+            assert herm_dev < 1e-12
+            assert min_eig > -1e-12
 
 
 def test_coherence_magnitude_decays_when_overdamped():
-    params = preset_params("fig5")
-    prop = BlockPropagator(build_generator(params, 1))
-    times = np.linspace(0.5, 3.0, 251)
-    traj = prop.apply(initial_coefficients(InitialTerm.EG, 0.0), times)
-    mag = np.abs(traj[:, 5])
+    gen = build_generator(preset_params("fig5"), 1)
+    _, u = responses(gen, np.linspace(0.5, 3.0, 251))
+    mag = np.abs(u)
     assert np.all(np.diff(mag) <= 1e-12)
     assert mag[0] > 0.85 and mag[-1] < 0.37
 
 
-def test_evolve_subsystem_terms():
-    params = preset_params("fig2")
-    grid = TimeGrid(0.0, 10.0, 101)
-    traj = evolve_subsystem(params, 1, grid)
-    assert set(traj.terms) == set(InitialTerm)
-    assert traj[InitialTerm.EE].shape == (101, 9)
-    ref = BlockPropagator(build_generator(params, 1)).apply(
-        initial_coefficients(InitialTerm.GE, 0.0), grid.points
-    )
-    assert np.array_equal(traj[InitialTerm.GE], ref)
+def test_x_state_from_responses():
+    params = preset_params("fig7")
+    n, w = params.nbar, 2.0 * params.nbar + 1.0
+    times = TimeGrid(0.0, 10.0, 101).points
+    gens = [build_generator(params, 1), build_generator(params, 2)]
+    a, b, c, d, f = evolve_x_state(gens, n, times)
+    assert all(x.shape == (101,) for x in (a, b, c, d, f))
+    (s1, u1), (s2, u2) = responses(gens[0], times), responses(gens[1], times)
+    e1, e2 = n / w + s1 * (n + 1.0) / w, n / w + s2 * (n + 1.0) / w
+    g1, g2 = n / w - s1 * n / w, n / w - s2 * n / w
+    assert np.abs(a - 0.5 * (e1 * e2 + g1 * g2)).max() < 1e-15
+    assert np.abs(d - 0.5 * ((1 - e1) * (1 - e2) + (1 - g1) * (1 - g2))).max() < 1e-15
+    assert np.array_equal(f, 0.5 * u1 * u2)
 
 
 def test_symmetric_pairs_evolve_identically():
     params = preset_params("fig8")
-    grid = TimeGrid(0.0, 5.0, 101)
-    t1 = evolve_subsystem(params, 1, grid)
-    t2 = evolve_subsystem(params, 2, grid)
-    for term in InitialTerm:
-        assert np.array_equal(t1[term], t2[term])
+    times = TimeGrid(0.0, 5.0, 101).points
+    s1, u1 = responses(build_generator(params, 1), times)
+    s2, u2 = responses(build_generator(params, 2), times)
+    assert np.array_equal(s1, s2)
+    assert np.array_equal(u1, u2)
+    _, b, c, _, _ = evolve_x_state(
+        [build_generator(params, k) for k in (1, 2)], params.nbar, times
+    )
+    assert np.array_equal(b, c)
 
 
 def test_bad_inputs():
-    params = preset_params("fig2")
-    prop = BlockPropagator(build_generator(params, 1))
+    gen = build_generator(preset_params("fig2"), 1)
     with pytest.raises(ValueError):
-        prop.apply(np.zeros(8), np.array([0.0]))
+        responses(np.zeros((4, 4)), [0.0])
     with pytest.raises(ValueError):
-        prop.apply(np.full(9, np.nan), np.array([0.0]))
+        responses(gen, [])
     with pytest.raises(ValueError):
-        BlockPropagator(np.zeros((4, 4)))
+        responses(gen, [0.0, np.nan])

@@ -1,21 +1,13 @@
-"""Reduced two-qubit density matrix assembly and X-state extraction."""
+"""The reduced two-qubit X state and its matrix form."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nmqsim.model import InitialTerm
+from nmqsim.model import build_generator
 from nmqsim.presets import preset_params
-from nmqsim.propagator import TimeGrid, evolve_subsystem
-from nmqsim.reconstruction import (
-    XStructureError,
-    assemble_rho12,
-    block_series,
-    physicality_deviations,
-    rho12_series,
-    single_atom_block,
-    to_x_state,
-    x_components,
-)
+from nmqsim.propagator import TimeGrid, evolve_x_state
+from nmqsim.reconstruction import physicality_deviations, x_matrix
 
 BELL = 0.5 * np.array([
     [1, 0, 0, 1],
@@ -34,39 +26,24 @@ FIG2_RHO_T1 = {
 }
 
 
-def _trajectories(name, grid):
+def _state(name, times):
+    """X-state components of a preset at the given times."""
     params = preset_params(name)
-    return params, evolve_subsystem(params, 1, grid), evolve_subsystem(params, 2, grid)
-
-
-def test_single_atom_block_examples():
-    ee = np.zeros(9, dtype=complex)
-    ee[0] = ee[1] = 1.0
-    assert np.array_equal(single_atom_block(ee, 0.0), np.diag([1.0, 0.0]))
-
-    gg = np.zeros(9, dtype=complex)
-    gg[0] = 1.0
-    gg[1] = -0.2 / 1.4
-    m = single_atom_block(gg, 0.2)
-    assert np.abs(m - np.diag([0.0, 1.0])).max() < 1e-15
-
-    eg = np.zeros(9, dtype=complex)
-    eg[5] = 1.0
-    assert np.array_equal(single_atom_block(eg, 0.0), [[0.0, 1.0], [0.0, 0.0]])
+    gens = [build_generator(params, k) for k in (1, 2)]
+    return params, evolve_x_state(gens, params.nbar, times)
 
 
 def test_bell_state_at_time_zero():
-    grid = TimeGrid(0.0, 1.0, 11)
-    for name, nbar in (("fig2", 0.0), ("fig6", 0.2)):
-        params, t1, t2 = _trajectories(name, grid)
-        rho = assemble_rho12(t1, t2, params.nbar, 0)
-        assert np.abs(rho - BELL).max() < 1e-12
+    # at t = 0 both responses are 1, so every qubit reads out its initial
+    # population exactly, whatever the temperature
+    for name in ("fig2", "fig6"):
+        _, x = _state(name, TimeGrid(0.0, 1.0, 11).points)
+        assert np.abs(x_matrix(*x)[0] - BELL).max() < 1e-12
 
 
 def test_frozen_fig2_reduced_state():
-    grid = TimeGrid(0.0, 1.0, 2)
-    params, t1, t2 = _trajectories("fig2", grid)
-    rho = assemble_rho12(t1, t2, 0.0, 1)
+    _, x = _state("fig2", TimeGrid(0.0, 1.0, 2).points)
+    rho = x_matrix(*x)[1]
     assert abs(rho[0, 0] - FIG2_RHO_T1["a"]) < 1e-8
     assert abs(rho[1, 1] - FIG2_RHO_T1["b"]) < 1e-8
     assert abs(rho[2, 2] - FIG2_RHO_T1["b"]) < 1e-8
@@ -78,75 +55,61 @@ def test_frozen_fig2_reduced_state():
 def test_cold_reservoir_longtime_ground_state():
     params = preset_params("fig2")
     t_end = 200.0 / params.gamma_eff
-    grid = TimeGrid(0.0, t_end, 5)
-    _, t1, t2 = _trajectories("fig2", grid)
-    rho = assemble_rho12(t1, t2, 0.0, 4)
+    _, x = _state("fig2", TimeGrid(0.0, t_end, 5).points)
+    rho = x_matrix(*x)[4]
     assert np.abs(rho - np.diag([0.0, 0.0, 0.0, 1.0])).max() < 1e-6
 
 
 def test_series_matches_single_assembly():
-    grid = TimeGrid(0.0, 4.0, 41)
-    params, t1, t2 = _trajectories("fig7", grid)
-    rhos = rho12_series(t1, t2, params.nbar)
+    times = TimeGrid(0.0, 4.0, 41).points
+    _, series = _state("fig7", times)
+    rhos = x_matrix(*series)
     assert rhos.shape == (41, 4, 4)
     for idx in (0, 17, 40):
-        assert np.abs(rhos[idx] - assemble_rho12(t1, t2, params.nbar, idx)).max() < 1e-14
+        _, single = _state("fig7", [times[idx]])
+        assert np.abs(rhos[idx] - x_matrix(*single)[0]).max() < 1e-14
 
 
 def test_coherence_factorizes():
     # the |11><00| entry is half the product of the two raising coefficients
-    grid = TimeGrid(0.0, 6.0, 301)
-    params, t1, t2 = _trajectories("fig8", grid)
-    rhos = rho12_series(t1, t2, params.nbar)
-    g1 = block_series(t1, InitialTerm.EG, params.nbar)[:, 0, 1]
-    g2 = block_series(t2, InitialTerm.EG, params.nbar)[:, 0, 1]
-    assert np.abs(rhos[:, 0, 3] - 0.5 * g1 * g2).max() < 1e-12
+    times = TimeGrid(0.0, 6.0, 301).points
+    params, (_, _, _, _, f) = _state("fig8", times)
+    raising = [
+        np.array([scipy.linalg.expm(build_generator(params, k)[5:7, 5:7] * t)[0, 0]
+                  for t in times])
+        for k in (1, 2)
+    ]
+    assert np.abs(f - 0.5 * raising[0] * raising[1]).max() < 1e-12
 
 
 def test_grid_mismatch_rejected():
-    params = preset_params("fig2")
-    t1 = evolve_subsystem(params, 1, TimeGrid(0.0, 1.0, 11))
-    t2 = evolve_subsystem(params, 2, TimeGrid(0.0, 2.0, 11))
-    with pytest.raises(ValueError):
-        assemble_rho12(t1, t2, params.nbar, 0)
+    # the responses are stepped on one uniform grid; anything else is refused
+    for times in ([0.0, 0.1, 0.3], [1.0, 0.5, 0.0], [0.5, 0.5]):
+        with pytest.raises(ValueError):
+            _state("fig2", times)
 
 
-def test_to_x_state_roundtrip():
-    x = to_x_state(BELL)
-    assert x.a == pytest.approx(0.5) and x.d == pytest.approx(0.5)
-    assert x.b == pytest.approx(0.0) and x.c == pytest.approx(0.0)
-    assert x.f == pytest.approx(0.5)
-    assert np.abs(x.as_matrix() - BELL).max() < 1e-15
-
-    mixed = np.eye(4, dtype=complex) / 4.0
-    x = to_x_state(mixed)
-    assert x.a == x.b == x.c == x.d == pytest.approx(0.25)
-
-
-def test_off_pattern_entry_rejected():
-    rho = BELL.copy()
-    rho[1, 2] = 0.1
-    rho[2, 1] = 0.1
-    with pytest.raises(XStructureError) as err:
-        to_x_state(rho)
-    assert "(1,2)" in str(err.value)
+def test_x_matrix_layout():
+    assert np.array_equal(x_matrix(0.5, 0.0, 0.0, 0.5, 0.5), BELL)
+    assert np.array_equal(x_matrix(0.25, 0.25, 0.25, 0.25, 0.0), np.eye(4) / 4.0)
+    f = np.array([0.1 + 0.2j, -0.3j])
+    rhos = x_matrix(np.array([0.4, 0.5]), 0.1, 0.1, np.array([0.4, 0.3]), f)
+    assert rhos.shape == (2, 4, 4)
+    assert np.array_equal(rhos[:, 0, 3], f)
+    assert np.array_equal(rhos, np.conj(np.swapaxes(rhos, 1, 2)))
 
 
 def test_x_components_series():
-    grid = TimeGrid(0.0, 10.0, 201)
-    params, t1, t2 = _trajectories("fig3", grid)
-    rhos = rho12_series(t1, t2, params.nbar)
-    a, b, c, d, f = x_components(rhos)
+    _, (a, b, c, d, f) = _state("fig3", TimeGrid(0.0, 10.0, 201).points)
+    rhos = x_matrix(a, b, c, d, f)
     assert np.abs(a + b + c + d - 1.0).max() < 1e-9
-    assert np.abs(a - rhos[:, 0, 0].real).max() < 1e-15
-    assert np.abs(f - rhos[:, 0, 3]).max() < 1e-15
+    assert np.array_equal(rhos[:, 0, 0].real, a)
+    assert np.array_equal(rhos[:, 0, 3], f)
 
 
 def test_physicality_deviations():
-    grid = TimeGrid(0.0, 10.0, 501)
-    params, t1, t2 = _trajectories("fig6", grid)
-    rhos = rho12_series(t1, t2, params.nbar)
-    trace_dev, herm_dev, min_eig = physicality_deviations(rhos)
+    _, x = _state("fig6", TimeGrid(0.0, 10.0, 501).points)
+    trace_dev, herm_dev, min_eig = physicality_deviations(x_matrix(*x))
     assert trace_dev < 1e-9
     assert herm_dev < 1e-12
     assert min_eig > -1e-9
