@@ -33,6 +33,22 @@ def _state(name, times):
     return params, evolve_x_state(gens, params.nbar, times)
 
 
+def test_single_atom_block_examples():
+    # with s(t) = u(t) = exp(-t) each qubit starts excited (population 1) or
+    # in ground (population 0) with coherence 1, and ends in the thermal
+    # population nbar / (2 nbar + 1) with no coherence, cold and warm alike
+    decay = np.diag([0.0] + [-1.0] * 8).astype(complex)
+    times = TimeGrid(0.0, 60.0, 7).points
+    for nbar in (0.0, 0.2):
+        a, b, c, d, f = evolve_x_state([decay, decay], nbar, times)
+        start = np.array([a[0], b[0], c[0], d[0], f[0]])
+        assert np.abs(start - [0.5, 0.0, 0.0, 0.5, 0.5]).max() < 1e-15
+        p = nbar / (2.0 * nbar + 1.0)
+        end = np.array([a[-1], b[-1], c[-1], d[-1], f[-1]])
+        thermal = [p * p, p * (1.0 - p), p * (1.0 - p), (1.0 - p) ** 2, 0.0]
+        assert np.abs(end - thermal).max() < 1e-15
+
+
 def test_bell_state_at_time_zero():
     # at t = 0 both responses are 1, so every qubit reads out its initial
     # population exactly, whatever the temperature
