@@ -21,7 +21,6 @@ from .entanglement import (
     EntanglementEvent,
     EntanglementSeries,
     EventKind,
-    concurrence_general,
     entanglement_of_formation,
     extract_events,
     markovian_rate,
@@ -71,7 +70,6 @@ __all__ = [
     "build_generator",
     "build_kernel",
     "choi_of_subsystem_map",
-    "concurrence_general",
     "default_grid",
     "entanglement_of_formation",
     "evolve_full",

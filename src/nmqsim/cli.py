@@ -7,9 +7,10 @@ Subcommands:
     verify        run the self-verification suites
     list-presets  show the built-in parameter table
 
-Exit codes: 0 ok, 1 verification failure, 2 usage or configuration error,
-3 numerical failure (an unhealthy run, or memory exhaustion).  NMQ_THREADS
-caps sweep parallelism.
+Exit codes: 0 ok, 1 verification failure, 2 usage or configuration error
+(an output directory or file that cannot be written included), 3 numerical
+failure (an unhealthy run, or memory exhaustion).  NMQ_THREADS caps sweep
+parallelism.
 """
 
 import argparse
@@ -66,14 +67,17 @@ def cmd_simulate(args) -> int:
     result = simulate(scenario.params, scenario.grid)
     events = extract_events(result.series, threshold=scenario.threshold)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     files = [out / "trajectory.csv", out / "events.csv"]
-    write_trajectory_csv(files[0], result)
-    write_events_csv(files[1], events)
-    if scenario.svg or args.svg:
-        files.append(out / "trajectory.svg")
-        write_svg(files[-1], result)
-    write_run_record(out / "run.json", text, files)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_trajectory_csv(files[0], result)
+        write_events_csv(files[1], events)
+        if scenario.svg or args.svg:
+            files.append(out / "trajectory.svg")
+            write_svg(files[-1], result)
+        write_run_record(out / "run.json", text, files)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
     print(f"wrote {', '.join(str(f) for f in files)}")
     return EXIT_OK
 
@@ -125,11 +129,13 @@ def cmd_sweep(args) -> int:
             list(pool.map(run, range(len(points))))
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header_keys = list(spec.axes)
     path = out / "sweep.csv"
-    write_sweep_csv(path, header_keys, rows)
-    write_run_record(out / "run.json", text, [path])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_sweep_csv(path, list(spec.axes), rows)
+        write_run_record(out / "run.json", text, [path])
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
     print(f"wrote {path} ({len(points)} points)")
     return EXIT_OK
 

@@ -26,7 +26,6 @@ __all__ = [
     "EventKind",
     "EntanglementEvent",
     "EntanglementSeries",
-    "concurrence_general",
     "concurrence_general_series",
     "precursor_from_components",
     "entanglement_of_formation",
@@ -85,11 +84,6 @@ def concurrence_general_series(rhos: np.ndarray, tol: float = 1e-6) -> np.ndarra
     lam = np.linalg.svd(prod, compute_uv=False)  # descending
     c = lam[:, 0] - lam[:, 1:].sum(axis=1)
     return np.clip(c, 0.0, 1.0)
-
-
-def concurrence_general(rho: np.ndarray, tol: float = 1e-6) -> float:
-    """Wootters concurrence of an arbitrary two-qubit density matrix."""
-    return float(concurrence_general_series(np.asarray(rho)[None], tol=tol)[0])
 
 
 def precursor_from_components(b, c, f) -> np.ndarray:

@@ -5,13 +5,24 @@ Projecting the 9-dimensional coefficient equation onto the slow subspace
 
     d(Pc)/dt = PLP Pc(t) + int_0^t K(t - tau) Pc(tau) dtau
 
-with the exact memory kernel K(tau) = PL exp(QLQ tau) QLP.  Nothing is
-approximated: solving this equation must reproduce the projection of the
-direct solution, and the solver below exists to demonstrate that.
+with the exact memory kernel K(tau) = PL exp(QLQ tau) LP, where PL is the
+4x5 block L[P, Q], QLQ the 5x5 block L[Q, Q] and LP the 5x4 block L[Q, P].
+Nothing is approximated: solving this equation must reproduce the
+projection of the direct solution, and the solver below exists to
+demonstrate that.
 
 The kernel is sampled on a uniform lag grid that must match the solver
 step exactly; interpolating the kernel would muddy the error analysis,
-so mismatched steps are rejected.
+so mismatched steps are rejected.  On that grid K(i dt) = PL E^i LP with
+E = expm(QLQ dt), so the trapezoidal history sum at step i is dt PL h_i
+for a single 5-dimensional Q-space vector
+
+    h_0 = E LP y_0 / 2,    h_i = E (h_{i-1} + LP y_i),
+
+which the solver carries from step to step instead of re-summing the
+history.  A solve therefore costs O(N) small products rather than O(N^2),
+and it needs no eigendecomposition, so it holds unchanged where QLQ is
+defective.
 """
 
 from dataclasses import dataclass
@@ -27,21 +38,24 @@ __all__ = ["MemoryKernelSamples", "build_kernel", "local_term", "solve_nz"]
 _P = np.array(P_INDICES)
 _Q = np.array(Q_INDICES)
 
-# eigenvector condition number beyond which QLQ is treated as defective;
-# the primary path uses no eigendecomposition, so this is the only copy
-_EIG_COND_LIMIT = 1e8
-
 
 @dataclass(frozen=True)
 class MemoryKernelSamples:
-    """K(tau) on a uniform lag grid; 9x9 with support only on rows/columns 0,1,5,7."""
+    """K(tau) on a uniform lag grid, held as its three factors.
+
+    ``left`` is PL (4x5), ``step_map`` is E = expm(QLQ dt) (5x5) and
+    ``right`` is LP (5x4), so K(i dt) restricted to P is left E^i right.
+    """
 
     lags: np.ndarray
-    samples: np.ndarray  # (len(lags), 9, 9)
+    left: np.ndarray  # (4, 5)
+    step_map: np.ndarray  # (5, 5)
+    right: np.ndarray  # (5, 4)
 
     def __post_init__(self):
-        if self.samples.shape != (len(self.lags), 9, 9):
-            raise ValueError("sample array shape does not match the lag grid")
+        p, q = len(_P), len(_Q)
+        if (self.left.shape, self.step_map.shape, self.right.shape) != ((p, q), (q, q), (q, p)):
+            raise ValueError("kernel factors must be 4x5, 5x5 and 5x4")
         steps = np.diff(self.lags)
         # linspace jitter is ~1e-12 relative at 1e4 points, so gate well above it
         if len(steps) and np.abs(steps - steps.mean()).max() > 1e-6 * abs(steps.mean()):
@@ -51,13 +65,28 @@ class MemoryKernelSamples:
     def step(self) -> float:
         return float(self.lags[1] - self.lags[0])
 
+    @property
+    def samples(self) -> np.ndarray:
+        """K at every lag, (len(lags), 9, 9) with support on rows/columns 0, 1, 5, 7."""
+        n = len(self.lags)
+        # PL E^(m + j) = (PL E^j) E^m fills the grid in log2(n) batched products
+        rows = np.empty((n,) + self.left.shape, dtype=complex)
+        rows[0] = self.left
+        m, Em = 1, self.step_map
+        while m < n:
+            k = min(m, n - m)
+            rows[m : m + k] = rows[:k] @ Em
+            m, Em = m + k, Em @ Em
+        out = np.zeros((n, 9, 9), dtype=complex)
+        out[np.ix_(range(n), _P, _P)] = rows @ self.right
+        return out
+
 
 def build_kernel(generator, projectors, lags: TimeGrid) -> MemoryKernelSamples:
-    """Sample K(tau) = P L exp(Q L Q tau) Q L P on the lag grid.
+    """K(tau) = P L exp(Q L Q tau) Q L P on the lag grid, in factored form.
 
-    The exponential of the Q-restricted generator is taken by
-    eigendecomposition, falling back to dense scaling-and-squaring when
-    the restricted block is defective.
+    exp(QLQ i dt) is the i-th power of E = expm(QLQ dt), taken by
+    scaling-and-squaring, which stays exact where QLQ is defective.
     """
     L = np.asarray(generator, dtype=complex)
     P, Q = projectors
@@ -67,19 +96,8 @@ def build_kernel(generator, projectors, lags: TimeGrid) -> MemoryKernelSamples:
     times = lags.points
     if times[0] != 0.0:
         raise ValueError("kernel lag grid must start at 0")
-    w, v = np.linalg.eig(QLQ)
-    if np.linalg.cond(v) <= _EIG_COND_LIMIT:
-        left = PL @ v
-        right = np.linalg.solve(v, LP)
-        phases = np.exp(np.outer(times, w))
-        reduced = np.einsum("ij,tj,jk->tik", left, phases, right)
-    else:
-        reduced = np.empty((len(times), len(_P), len(_P)), dtype=complex)
-        for i, t in enumerate(times):
-            reduced[i] = PL @ scipy.linalg.expm(QLQ * t) @ LP
-    samples = np.zeros((len(times), 9, 9), dtype=complex)
-    samples[np.ix_(range(len(times)), _P, _P)] = reduced
-    return MemoryKernelSamples(lags=times, samples=samples)
+    E = scipy.linalg.expm(QLQ * lags.step)
+    return MemoryKernelSamples(lags=times, left=PL, step_map=E, right=LP)
 
 
 def local_term(generator, projectors) -> np.ndarray:
@@ -101,15 +119,18 @@ def solve_nz(
     Euler prediction followed by two corrector passes, which drives the
     step to the implicit trapezoidal rule and halves the phase error a
     single correction would leave on the oscillatory components.  Global
-    error is O(dt^2).
+    error is O(dt^2).  The history sum is carried as the Q-space vector h
+    of the module docstring, so the cost is linear in the number of steps.
 
-    Returns the solution as (num_points, 9) with support on indices
-    0, 1, 5, 7.  The kernel must be sampled exactly on the grid's lags.
+    ``init`` is one 9-vector or a (k, 9) stack solved together.  Returns
+    (num_points, 9), or (num_points, k, 9) for a stack, with support on
+    indices 0, 1, 5, 7.  The kernel must be sampled exactly on the grid's
+    lags.
     """
     init = np.asarray(init, dtype=complex)
-    if init.shape != (9,):
+    if init.shape[-1:] != (9,) or init.ndim not in (1, 2):
         raise ValueError("initial vector must have 9 components")
-    off = np.abs(init[_Q]).max()
+    off = np.abs(init[..., _Q]).max()
     if off > 0.0:
         raise ValueError("initial vector has weight outside the projected subspace")
     times = grid.points
@@ -123,23 +144,30 @@ def solve_nz(
     if kernel.lags[-1] < times[-1] - times[0] - 1e-12 * dt:
         raise ValueError("kernel lags do not cover the requested time span")
 
-    K = kernel.samples[np.ix_(range(grid.num_points), _P, _P)]
-    M = np.asarray(local, dtype=complex)[np.ix_(_P, _P)] + 0.5 * dt * K[0]
-    y = np.zeros((grid.num_points, len(_P)), dtype=complex)
-    y[0] = init[_P]
-    partial = np.zeros(len(_P), dtype=complex)
+    # rows are states, so every map acts from the right through its transpose
+    PLt = dt * kernel.left.T
+    Et = kernel.step_map.T
+    LPt = kernel.right.T
+    K0 = kernel.left @ kernel.right
+    Mt = (np.asarray(local, dtype=complex)[np.ix_(_P, _P)] + 0.5 * dt * K0).T
+    half_Mt = 0.5 * dt * Mt
+    y = np.zeros((grid.num_points,) + init.shape[:-1] + (len(_P),), dtype=complex)
+    y[0] = init[..., _P]
+    h = 0.5 * y[0] @ LPt  # the trapezoid's half weight on y_0
+    partial = np.zeros_like(y[0])
     for i in range(grid.num_points - 1):
-        F = M @ y[i] + partial
-        if i >= 1:
-            conv = np.einsum("tij,tj->i", K[1 : i + 1][::-1], y[1 : i + 1])
-        else:
-            conv = np.zeros(len(_P), dtype=complex)
-        partial = dt * (0.5 * K[i + 1] @ y[0] + conv)
+        F = y[i] @ Mt + partial
+        if i:
+            h += y[i] @ LPt
+        h = h @ Et
+        partial = h @ PLt
+        # Euler prediction, then two passes of y + dt/2 (F + M ynew + partial)
+        fixed = y[i] + 0.5 * dt * (F + partial)
         ynew = y[i] + dt * F
         for _ in range(2):
-            ynew = y[i] + 0.5 * dt * (F + M @ ynew + partial)
+            ynew = fixed + ynew @ half_Mt
         y[i + 1] = ynew
 
-    out = np.zeros((grid.num_points, 9), dtype=complex)
-    out[:, _P] = y
+    out = np.zeros(y.shape[:-1] + (9,), dtype=complex)
+    out[..., _P] = y
     return out

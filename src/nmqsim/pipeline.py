@@ -71,7 +71,9 @@ def simulate(params: ModelParams, grid: TimeGrid) -> SimulationResult:
     non-finite or not a density matrix to within HEALTH_TOL.
     """
     generators = [build_generator(params, k) for k in (1, 2)]
-    a, b, c, d, f = evolve_x_state(generators, params.nbar, grid.points)
+    # overflow and NaN are reported once, by the health check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b, c, d, f = evolve_x_state(generators, params.nbar, grid.points)
     _check_health(a, b, c, d, f)
 
     def precursor_at(t: float) -> float:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,31 @@ def test_unhealthy_run_exit_code(tmp_path):
     with np.errstate(all="ignore"):
         assert main(["simulate", cfg, "--out", str(out)]) == 3
     assert not (out / "trajectory.csv").exists()
+
+
+def test_unhealthy_run_is_quiet(tmp_path, capsys):
+    # the run-health check reports the overflow; numpy must not warn first
+    cfg = write_config(tmp_path, "alpha1 = 1e200\n")
+    out = tmp_path / "overflow"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    assert main(["simulate", "--preset", "fig2", "--out", str(blocker)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: cannot write output: ")
+
+    cfg = write_config(tmp_path, "alpha1 = 1, 2\nnum_points = 101\n")
+    assert main(["sweep", cfg, "--out", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: cannot write output: ")
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_sweep_thread_env(tmp_path, monkeypatch):

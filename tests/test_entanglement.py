@@ -8,7 +8,6 @@ from nmqsim.entanglement import (
     EntanglementEvent,
     EntanglementSeries,
     EventKind,
-    concurrence_general,
     concurrence_general_series,
     entanglement_of_formation,
     extract_events,
@@ -39,23 +38,23 @@ def analytic_concurrence(a, b, c, d, f):
 
 
 def test_bell_state_concurrence():
-    assert concurrence_general(BELL) == pytest.approx(1.0, abs=1e-12)
+    assert concurrence_general_series(BELL[None])[0] == pytest.approx(1.0, abs=1e-12)
     assert analytic_concurrence(0.5, 0.0, 0.0, 0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_product_state_concurrence():
     rho = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
-    assert concurrence_general(rho) == pytest.approx(0.0, abs=1e-12)
+    assert concurrence_general_series(rho[None])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_x_state_examples():
     x = (0.3, 0.2, 0.2, 0.3, 0.25)
     assert analytic_concurrence(*x) == pytest.approx(0.1, abs=1e-15)
-    assert concurrence_general(x_matrix(*x)) == pytest.approx(0.1, abs=1e-10)
+    assert concurrence_general_series(x_matrix(*x)[None])[0] == pytest.approx(0.1, abs=1e-10)
 
     x = (0.46, 0.04, 0.04, 0.46, 0.3)
     assert analytic_concurrence(*x) == pytest.approx(0.52, abs=1e-15)
-    assert concurrence_general(x_matrix(*x)) == pytest.approx(0.52, abs=1e-10)
+    assert concurrence_general_series(x_matrix(*x)[None])[0] == pytest.approx(0.52, abs=1e-10)
 
 
 def test_precursor_examples():
@@ -81,7 +80,8 @@ def test_analytic_route_matches_general_route(pops, ratio, phase):
     a, b, c, d = np.array(pops) / np.sum(pops)
     f = ratio * np.sqrt(a * d) * np.exp(1j * phase)
     x = (a, b, c, d, f)
-    assert abs(analytic_concurrence(*x) - concurrence_general(x_matrix(*x))) < 1e-10
+    general = concurrence_general_series(x_matrix(*x)[None])[0]
+    assert abs(analytic_concurrence(*x) - general) < 1e-10
 
 
 def test_spin_flip_involution():
@@ -95,13 +95,13 @@ def test_spin_flip_involution():
 def test_local_unitary_invariance():
     rng = np.random.default_rng(11)
     rho = x_matrix(0.3, 0.15, 0.25, 0.3, 0.2 * np.exp(0.7j))
-    base = concurrence_general(rho)
+    base = concurrence_general_series(rho[None])[0]
     for _ in range(5):
         u1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         u = np.kron(u1, u2)
         rotated = u @ rho @ u.conj().T
-        assert abs(concurrence_general(rotated) - base) < 1e-10
+        assert abs(concurrence_general_series(rotated[None])[0] - base) < 1e-10
 
 
 def test_series_route_is_batched_scalar_route():
@@ -113,16 +113,16 @@ def test_series_route_is_batched_scalar_route():
         rhos.append(rho / np.trace(rho).real)
     rhos = np.array(rhos)
     series = concurrence_general_series(rhos)
-    for i, rho in enumerate(rhos):
-        assert abs(series[i] - concurrence_general(rho)) < 1e-13
+    for i in range(len(rhos)):
+        assert abs(series[i] - concurrence_general_series(rhos[i : i + 1])[0]) < 1e-13
 
 
 def test_unphysical_input_rejected():
     rho = np.diag([0.7, 0.4, 0.0, -0.1]).astype(complex)
     with pytest.raises(ValueError):
-        concurrence_general(rho)
+        concurrence_general_series(rho[None])[0]
     with pytest.raises(ValueError):
-        concurrence_general(np.eye(4, dtype=complex))  # trace 4
+        concurrence_general_series(np.eye(4, dtype=complex)[None])  # trace 4
 
 
 def test_eof_endpoints_and_frozen_value():
