@@ -9,11 +9,13 @@ Subcommands:
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or configuration error
 (an output directory or file that cannot be written included), 3 numerical
-failure (an unhealthy run, or memory exhaustion).  NMQ_THREADS caps sweep
-parallelism.
+failure (an unhealthy run, memory exhaustion, or any other ValueError, such
+as an event crossing that Brent's method cannot bracket).  NMQ_THREADS caps
+sweep parallelism.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -48,7 +50,7 @@ def _read_config(path: str) -> str:
         raise ConfigError(f"cannot read config file: {exc}") from None
 
 
-def _scenario_from_args(args) -> tuple[Scenario, str]:
+def _scenario_from_args(args) -> Scenario:
     if args.config is None and args.preset is None:
         raise ConfigError("give a config file or --preset")
     if args.config is not None and args.preset is not None:
@@ -59,11 +61,11 @@ def _scenario_from_args(args) -> tuple[Scenario, str]:
         text = f"preset = {args.preset}\n"
     else:
         text = _read_config(args.config)
-    return parse_scenario(text), text
+    return parse_scenario(text)
 
 
 def cmd_simulate(args) -> int:
-    scenario, text = _scenario_from_args(args)
+    scenario = _scenario_from_args(args)
     result = simulate(scenario.params, scenario.grid)
     events = extract_events(result.series, threshold=scenario.threshold)
     out = Path(args.out)
@@ -75,7 +77,9 @@ def cmd_simulate(args) -> int:
         if scenario.svg or args.svg:
             files.append(out / "trajectory.svg")
             write_svg(files[-1], result)
-        write_run_record(out / "run.json", text, files)
+        resolved = dataclasses.asdict(scenario)
+        del resolved["svg"]  # a plotting choice, not an input of the run
+        write_run_record(out / "run.json", resolved, files)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
     print(f"wrote {', '.join(str(f) for f in files)}")
@@ -133,7 +137,7 @@ def cmd_sweep(args) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(path, list(spec.axes), rows)
-        write_run_record(out / "run.json", text, [path])
+        write_run_record(out / "run.json", dataclasses.asdict(spec), [path])
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
     print(f"wrote {path} ({len(points)} points)")
@@ -214,7 +218,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, MemoryError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (ArithmeticError, MemoryError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

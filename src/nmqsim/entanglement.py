@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import xlogy
 
 from .model import ModelParams
@@ -137,7 +138,8 @@ class EntanglementEvent:
 
     precise is False when the crossing was only bracketed by a single
     grid sample (sign pattern + - + across adjacent points), in which
-    case the time is grid-resolution accurate rather than bisected.
+    case the time is grid-resolution accurate rather than refined to
+    1e-10 by Brent's method.
     """
 
     kind: EventKind
@@ -151,7 +153,7 @@ class EntanglementSeries:
 
     precursor_fn, when provided, evaluates the same precursor at arbitrary
     times from the underlying exact propagation; event extraction uses it
-    to refine crossing times by bisection.
+    to refine crossing times by Brent's method (xtol 1e-10).
     """
 
     grid: TimeGrid
@@ -167,22 +169,6 @@ class EntanglementSeries:
         for name in ("concurrence", "precursor", "eof"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length does not match the grid")
-
-
-def _bisect(fn, lo: float, hi: float, flo: float, time_tol: float = 1e-8) -> float:
-    # flo carries the sign of fn(lo); fn(hi) has the opposite sign
-    for _ in range(200):
-        if hi - lo <= time_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
@@ -205,8 +191,10 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
     measurable-concurrence scale.  If the series ends in the dead state
     the last DEATH is reported as FINAL_DEATH.
 
-    Crossing times are refined to 1e-8 by bisection on series.precursor_fn
-    when available, otherwise by linear interpolation of the samples.
+    Crossing times are refined to 1e-10 by Brent's method (brentq) on
+    series.precursor_fn when available, otherwise by linear interpolation
+    of the samples.  brentq raises ValueError if the precursor takes the
+    same sign at both ends of a bracket.
     A death interval shorter than two grid steps triggers a coarse-grid
     warning and the affected events carry precise=False.
     """
@@ -224,7 +212,7 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
             if b == a:
                 return float(t[i])
             return float(t[i] - a * (t[i + 1] - t[i]) / (b - a))
-        return _bisect(lambda u: fn(u) - level, float(t[i]), float(t[i + 1]), s[i] - level)
+        return brentq(lambda u: fn(u) - level, t[i], t[i + 1], xtol=1e-10)
 
     events = []
     dead = s[0] < threshold

@@ -157,17 +157,15 @@ def _apply_pair_map(propagator: np.ndarray, op: np.ndarray, nbar: float) -> np.n
 
 
 def choi_of_subsystem_map(params: ModelParams, k: int, t: float) -> np.ndarray:
-    """Choi matrix sum_ij E_ij (x) Phi(E_ij) of the reduced map at time t."""
+    """Choi matrix sum_ij E_ij (x) Phi(E_ij) of the reduced map at time t.
+
+    Entry (2i + a, 2j + b) is Phi(E_ij)[a, b], which the transfer matrix
+    holds at (2a + b, 2i + j), so the Choi matrix is its reshuffle.
+    """
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    prop = scipy.linalg.expm(pair_liouvillian(params, k) * t)
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            eij = np.zeros((2, 2), dtype=complex)
-            eij[i, j] = 1.0
-            choi += np.kron(eij, _apply_pair_map(prop, eij, params.nbar))
-    return choi
+    transfer = subsystem_transfer_matrix(params, k, t)
+    return transfer.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def subsystem_transfer_matrix(params: ModelParams, k: int, t: float) -> np.ndarray:

@@ -24,9 +24,13 @@ __all__ = [
 ]
 
 
+# the one number format of every data file: 12 significant digits
+NUMBER_FORMAT = "%.12g"
+
+
 def format_number(x) -> str:
     """12 significant digits; real numbers only (complex parts are split)."""
-    return f"{float(x):.12g}"
+    return NUMBER_FORMAT % float(x)
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -38,29 +42,15 @@ def _write_lines(path: Path, lines) -> None:
 
 
 def write_trajectory_csv(path, result: SimulationResult) -> None:
-    header = "t,a,b,c,d,re_f,im_f,concurrence,precursor,eof"
-    rows = [header]
-    t = result.grid.points
     series = result.series
-    for i in range(result.grid.num_points):
-        rows.append(
-            ",".join(
-                format_number(v)
-                for v in (
-                    t[i],
-                    result.a[i],
-                    result.b[i],
-                    result.c[i],
-                    result.d[i],
-                    result.f[i].real,
-                    result.f[i].imag,
-                    series.concurrence[i],
-                    series.precursor[i],
-                    series.eof[i],
-                )
-            )
-        )
-    _write_lines(Path(path), rows)
+    table = np.column_stack((
+        result.grid.points, result.a, result.b, result.c, result.d,
+        result.f.real, result.f.imag,
+        series.concurrence, series.precursor, series.eof,
+    ))
+    row_format = ",".join([NUMBER_FORMAT] * table.shape[1])
+    header = "t,a,b,c,d,re_f,im_f,concurrence,precursor,eof"
+    _write_lines(Path(path), [header] + [row_format % tuple(row) for row in table.tolist()])
 
 
 def write_events_csv(path, events) -> None:
@@ -130,17 +120,25 @@ def write_svg(path, result: SimulationResult) -> None:
     _write_lines(Path(path), parts)
 
 
-def scenario_hash(config_text: str) -> str:
-    return hashlib.sha256(config_text.encode("utf-8")).hexdigest()[:16]
+def scenario_hash(scenario: dict) -> str:
+    """First 16 hex digits of the SHA-256 of the resolved scenario.
+
+    The scenario is serialized as JSON with sorted keys and floats in
+    their shortest round-trip form, so the hash depends on the resolved
+    values, not on how the config file spells them.
+    """
+    text = json.dumps(scenario, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
-def write_run_record(path, config_text: str, output_files) -> None:
+def write_run_record(path, scenario: dict, output_files) -> None:
     from . import __version__
 
     record = {
         "tool": "nmqsim",
         "version": __version__,
-        "scenario_hash": scenario_hash(config_text),
+        "scenario": scenario,
+        "scenario_hash": scenario_hash(scenario),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": [str(p) for p in output_files],
     }

@@ -54,6 +54,9 @@ class TimeGrid:
             raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
         if int(self.num_points) != self.num_points or self.num_points < 2:
             raise ValueError(f"num_points must be an integer >= 2, got {self.num_points!r}")
+        # a subnormal step cannot resolve uniformly spaced samples
+        if self.step < np.finfo(float).tiny:
+            raise ValueError(f"grid step {self.step:.3g} is below the smallest normal float")
 
     @property
     def points(self) -> np.ndarray:

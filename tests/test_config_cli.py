@@ -315,6 +315,60 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize("t_end", ["1e-310", "5e-324"])
+def test_subnormal_grid_step_exit_code(tmp_path, capsys, t_end):
+    cfg = write_config(tmp_path, f"t_end = {t_end}\n")
+    assert main(["simulate", cfg, "--out", str(tmp_path / "sim")]) == 2
+    sweep_cfg = write_config(tmp_path, f"alpha1 = 1, 2\nt_end = {t_end}\n", "sweep.cfg")
+    assert main(["sweep", sweep_cfg, "--out", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("configuration error: ") for line in err)
+    assert not (tmp_path / "sim").exists() and not (tmp_path / "sweep").exists()
+
+
+def test_value_error_exit_code(tmp_path, monkeypatch, capsys):
+    def unbracketed(*_args):
+        raise ValueError("f(a) and f(b) must have different signs")
+
+    monkeypatch.setattr("nmqsim.cli.simulate", unbracketed)
+    out = tmp_path / "nobracket"
+    assert main(["simulate", "--preset", "fig3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: f(a) and f(b) must have different signs\n"
+    assert not out.exists()
+
+
+def run_hash(tmp_path, command, text, name):
+    cfg = write_config(tmp_path, text, name + ".cfg")
+    out = tmp_path / name
+    assert main([command, cfg, "--out", str(out)]) == 0
+    return json.loads((out / "run.json").read_text())["scenario_hash"], out
+
+
+def test_scenario_hash_is_canonical(tmp_path):
+    preset, preset_out = run_hash(tmp_path, "simulate", "preset = fig3\n", "preset")
+    spelled, spelled_out = run_hash(
+        tmp_path, "simulate", "delta1 = 0\nalpha1 = 2\ngamma = 0.5\nnbar = 0\n", "spelled"
+    )
+    assert (preset_out / "trajectory.csv").read_bytes() == (
+        spelled_out / "trajectory.csv"
+    ).read_bytes()
+    assert preset == spelled
+    assert len(preset) == 16 and int(preset, 16) >= 0
+    changed, _ = run_hash(
+        tmp_path, "simulate", "delta1 = 0\nalpha1 = 2.5\ngamma = 0.5\nnbar = 0\n", "changed"
+    )
+    assert changed != preset
+
+    base = "num_points = 101\nalpha1 = {}\n"
+    sweep, _ = run_hash(tmp_path, "sweep", base.format("0.5, 1"), "sweep")
+    respelled, _ = run_hash(tmp_path, "sweep", base.format("0.50, 1e0"), "respelled")
+    moved, _ = run_hash(tmp_path, "sweep", base.format("0.5, 0.75"), "moved")
+    assert sweep == respelled
+    assert moved != sweep
+
+
 def test_sweep_thread_env(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "alpha1 = 1, 2\nnum_points = 101\n")
     monkeypatch.setenv("NMQ_THREADS", "2")

@@ -264,13 +264,43 @@ def test_threshold_validation():
 
 def test_bisection_uses_continuous_precursor():
     # convex decay: the chord crossing is ~1e-7 away from the true one,
-    # so only bisection on the continuous function passes this bound
+    # so only refinement on the continuous function passes this bound
     fn = lambda u: 0.25 - u * u  # noqa: E731
     t = np.linspace(0.0, 1.0, 11)
     events = extract_events(make_series(1.0, fn(t), fn=fn))
     assert len(events) == 1
     assert events[0].kind is EventKind.FINAL_DEATH
     assert events[0].time == pytest.approx(np.sqrt(0.25 - 1e-6), abs=1e-8)
+
+
+def test_brent_refines_crossings_to_1e_10():
+    # smooth oscillation with closed-form crossings of both levels; a
+    # bisection stopped at a 1e-8 bracket lands up to 5e-9 away
+    fn = lambda u: 0.3 * np.cos(2.0 * u) + 0.05  # noqa: E731
+    t = np.linspace(0.0, 3.0, 31)
+    events = extract_events(make_series(3.0, fn(t), fn=fn))
+    assert [e.kind for e in events] == [EventKind.DEATH, EventKind.REVIVAL]
+    death = 0.5 * np.arccos((1e-6 - 0.05) / 0.3)
+    revival = np.pi - 0.5 * np.arccos((1e-3 - 0.05) / 0.3)
+    assert abs(events[0].time - death) <= 1e-10
+    assert abs(events[1].time - revival) <= 1e-10
+
+
+def test_fig3_precursor_calls_per_event():
+    result = simulate(preset_params("fig3"), default_grid())
+    series = result.series
+    inner = series.precursor_fn
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return inner(u)
+
+    # the series is frozen; swap in a counting evaluator
+    object.__setattr__(series, "precursor_fn", counting)
+    events = extract_events(series)
+    assert len(events) == 9
+    assert len(calls) <= 10 * len(events)
 
 
 # event times frozen from an adaptive high-accuracy integration of the

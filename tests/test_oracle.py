@@ -184,6 +184,19 @@ def test_undamped_map_is_unitary_conjugation():
     assert np.abs(mapped - u @ rho @ u.conj().T).max() < 1e-12
 
 
+def test_choi_is_sum_of_matrix_unit_images():
+    params = preset_params("fig7")
+    T = subsystem_transfer_matrix(params, 2, 0.9)
+    expected = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[i, j] = 1.0
+            image = (T @ unit.reshape(-1)).reshape(2, 2)
+            expected += np.kron(unit, image)
+    assert np.array_equal(choi_of_subsystem_map(params, 2, 0.9), expected)
+
+
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         choi_of_subsystem_map(preset_params("fig2"), 1, -0.5)

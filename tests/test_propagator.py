@@ -47,6 +47,13 @@ def test_grid_validation():
         TimeGrid(-1.0, 5.0, 10)
 
 
+def test_grid_rejects_subnormal_step():
+    for t_end in (1e-310, 5e-324):
+        with pytest.raises(ValueError, match="smallest normal float"):
+            TimeGrid(0.0, t_end, 2001)
+    assert TimeGrid(0.0, 2000 * np.finfo(float).tiny, 2001).step >= np.finfo(float).tiny
+
+
 def test_time_zero_is_identity():
     for name in ("fig2", "fig6"):
         s, u = responses(build_generator(preset_params(name), 1), [0.0])
