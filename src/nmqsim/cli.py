@@ -35,7 +35,7 @@ from .output import (
 )
 from .pipeline import simulate
 from .presets import PRESETS, default_grid
-from .verify import run_full, run_nz_only, run_quick
+from .verify import run_full, run_quick
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -145,9 +145,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.nz:
-        results = run_nz_only(corrupt=args.corrupt_generator)
-    elif args.level == "quick":
+    if args.level == "quick":
         results = run_quick(corrupt=args.corrupt_generator)
     else:
         results = run_full(corrupt=args.corrupt_generator, fast=args.fast)
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--level", choices=("quick", "full"), default="quick",
         help="quick: primary-path invariants; full: adds the independent oracles",
     )
-    p_ver.add_argument("--nz", action="store_true", help="run only the memory-kernel check")
     p_ver.add_argument("--fast", action="store_true", help=argparse.SUPPRESS)
     p_ver.add_argument("--corrupt-generator", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)

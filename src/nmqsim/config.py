@@ -21,7 +21,7 @@ Keys and defaults:
     nbar         thermal occupation         default 0
     t_end        end of the time grid       default 10
     num_points   grid points                default 2001, at most GRID_CAP
-    threshold    event detection threshold  default 1e-6
+    threshold    event detection threshold  default 1e-6, in (0, 1]
     svg          also write an SVG plot     default false
 """
 
@@ -184,6 +184,8 @@ def _build_grid(pairs: dict) -> TimeGrid:
             raise ConfigError("key 'num_points' must be an integer", key="num_points") from None
     else:
         num_points = DEFAULT_NUM_POINTS
+    if num_points < 2:
+        raise ConfigError(f"num_points {num_points} is less than 2", key="num_points")
     if num_points > GRID_CAP:
         raise ConfigError(
             f"num_points {num_points} is more than the cap {GRID_CAP}", key="num_points"
@@ -191,13 +193,15 @@ def _build_grid(pairs: dict) -> TimeGrid:
     try:
         return TimeGrid(0.0, t_end, num_points)
     except ValueError as exc:
-        raise ConfigError(str(exc), key="num_points") from None
+        # with a valid count, only the end time can be at fault
+        raise ConfigError(str(exc), key="t_end") from None
 
 
 def _threshold(pairs: dict) -> float:
     value = _parse_float("threshold", pairs.get("threshold", "1e-6"))
-    if value <= 0.0:
-        raise ConfigError("key 'threshold' must be positive", key="threshold")
+    # the revival level sqrt(threshold) must not lie below the death level
+    if not 0.0 < value <= 1.0:
+        raise ConfigError("key 'threshold' must lie in (0, 1]", key="threshold")
     return value
 
 

@@ -152,8 +152,12 @@ class EntanglementSeries:
     """Concurrence, precursor and EoF sampled on a time grid.
 
     precursor_fn, when provided, evaluates the same precursor at arbitrary
-    times from the underlying exact propagation; event extraction uses it
-    to refine crossing times by Brent's method (xtol 1e-10).
+    times; event extraction uses it to refine crossing times by Brent's
+    method (xtol 1e-10).  The one :func:`~nmqsim.pipeline.simulate` builds
+    steps the responses off the nearest grid time with a Taylor series whose
+    truncation error is at most 2^-56 of the grid state, computing the
+    exponentials once per cell; where ||X dt||_1 > 1 for a generator block X
+    it falls back to a single-time evaluation of the exponentials.
     """
 
     grid: TimeGrid
@@ -169,6 +173,33 @@ class EntanglementSeries:
         for name in ("concurrence", "precursor", "eof"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length does not match the grid")
+
+
+def _scan(s: np.ndarray, threshold: float):
+    """(kind, i, level, precise) of each event, crossing between samples i and i+1.
+
+    Sample j is dead when the last sample <= j below ``threshold`` comes
+    after the last sample <= j above sqrt(threshold); both indices are
+    running maxima, so the scan has no Python loop over samples.  Each
+    dead run gives a DEATH (unless it starts at sample 0) and, unless it
+    lasts to the end, a REVIVAL; a run of one sample makes both imprecise.
+    """
+    idx = np.arange(s.size)
+    last_below = np.maximum.accumulate(np.where(s < threshold, idx, -1))
+    last_above = np.maximum.accumulate(np.where(s > np.sqrt(threshold), idx, -1))
+    edges = np.diff((last_below > last_above).astype(np.int8), prepend=np.int8(0))
+    starts = np.flatnonzero(edges == 1).tolist()  # first dead sample of a run
+    ends = np.flatnonzero(edges == -1).tolist()  # first live sample after it
+    events = []
+    for k, start in enumerate(starts):
+        precise = k == len(ends) or ends[k] - start >= 2
+        if start > 0:
+            events.append((EventKind.DEATH, start - 1, threshold, precise))
+        if k < len(ends):
+            events.append((EventKind.REVIVAL, ends[k] - 1, float(np.sqrt(threshold)), precise))
+    if len(ends) < len(starts) and starts[-1] > 0:
+        events[-1] = (EventKind.FINAL_DEATH,) + events[-1][1:]
+    return events
 
 
 def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
@@ -187,20 +218,24 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
         from the tail of a tangential touch and do not count as a
         return of entanglement.
 
-    With the default threshold 1e-6 the revival level is 1e-3, i.e. the
-    measurable-concurrence scale.  If the series ends in the dead state
-    the last DEATH is reported as FINAL_DEATH.
+    The revival level lies at or above the death level only for
+    threshold <= 1, so threshold must lie in (0, 1].  With the default
+    1e-6 the revival level is 1e-3, the measurable-concurrence scale.  If
+    the series ends in the dead state the last DEATH is reported as
+    FINAL_DEATH.
 
-    Crossing times are refined to 1e-10 by Brent's method (brentq) on
-    series.precursor_fn when available, otherwise by linear interpolation
-    of the samples.  brentq raises ValueError if the precursor takes the
-    same sign at both ends of a bracket.
-    A death interval shorter than two grid steps triggers a coarse-grid
-    warning and the affected events carry precise=False.
+    The brackets come from a scan with no Python loop over samples (see
+    _scan).  Crossing times are refined to 1e-10 by Brent's method
+    (brentq) on series.precursor_fn when available, otherwise by linear
+    interpolation of the samples; the evaluator that simulate() provides
+    computes its exponentials once per bracket (see EntanglementSeries).
+    brentq raises ValueError if the precursor takes the same sign at both
+    ends of a bracket.  A death interval shorter than two grid steps
+    triggers one coarse-grid warning per call, and the affected events
+    carry precise=False.
     """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    revive_level = float(np.sqrt(threshold))
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("threshold must lie in (0, 1]")
     s = np.asarray(series.precursor, dtype=float)
     t = series.grid.points
     fn = series.precursor_fn
@@ -214,34 +249,14 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
             return float(t[i] - a * (t[i + 1] - t[i]) / (b - a))
         return brentq(lambda u: fn(u) - level, t[i], t[i + 1], xtol=1e-10)
 
-    events = []
-    dead = s[0] < threshold
-    death_start = 0 if dead else -1
-    death_pos = None
-    for i in range(len(s) - 1):
-        if not dead and s[i + 1] < threshold:
-            events.append(EntanglementEvent(EventKind.DEATH, refine(i, threshold)))
-            dead = True
-            death_start = i + 1
-            death_pos = len(events) - 1
-        elif dead and s[i + 1] > revive_level:
-            # the scan guarantees s[i] <= revive_level here, so the level
-            # crossing lies in (t[i], t[i+1])
-            precise = i + 1 - death_start >= 2
-            if not precise:
-                warnings.warn(
-                    "precursor recovered within two grid steps of its death; "
-                    "crossing times are grid-resolution limited",
-                    stacklevel=2,
-                )
-                if death_pos is not None:
-                    old = events[death_pos]
-                    events[death_pos] = EntanglementEvent(old.kind, old.time, False)
-            events.append(
-                EntanglementEvent(EventKind.REVIVAL, refine(i, revive_level), precise)
-            )
-            dead = False
-    if dead and events and events[-1].kind is EventKind.DEATH:
-        last = events[-1]
-        events[-1] = EntanglementEvent(EventKind.FINAL_DEATH, last.time, last.precise)
-    return events
+    scanned = _scan(s, threshold)
+    if not all(precise for *_, precise in scanned):
+        warnings.warn(
+            "precursor recovered within two grid steps of its death; "
+            "crossing times are grid-resolution limited",
+            stacklevel=2,
+        )
+    return [
+        EntanglementEvent(kind, refine(i, level), precise)
+        for kind, i, level, precise in scanned
+    ]

@@ -7,10 +7,12 @@ The run record (run.json) carries the non-deterministic metadata instead.
 
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .pipeline import SimulationResult
 
@@ -141,6 +143,11 @@ def write_run_record(path, scenario: dict, output_files) -> None:
         "scenario_hash": scenario_hash(scenario),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": [str(p) for p in output_files],
+        "versions": {
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
     }
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

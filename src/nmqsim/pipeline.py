@@ -2,9 +2,11 @@
 
 This is the path the CLI drives.  Each qubit enters only through its two
 scalar responses s_k and u_k (see :mod:`nmqsim.propagator`), which give the
-X-state components at any time, not just on the sample grid; the
-continuous-time precursor used to refine event times is the same call at a
-single time.
+X-state components at any time, not just on the sample grid.  The
+continuous-time precursor used to refine event times takes the responses
+from a Taylor step off the nearest grid time
+(:func:`~nmqsim.propagator.cell_responses`) and builds the X state with the
+same formula as the grid, :func:`~nmqsim.propagator.x_state_from_responses`.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from .entanglement import (
     precursor_from_components,
 )
 from .model import ModelParams, build_generator
-from .propagator import TimeGrid, evolve_x_state
+from .propagator import TimeGrid, cell_responses, evolve_x_state, x_state_from_responses
 from .reconstruction import x_matrix
 
 __all__ = ["HEALTH_TOL", "RunHealthError", "SimulationResult", "simulate"]
@@ -76,9 +78,14 @@ def simulate(params: ModelParams, grid: TimeGrid) -> SimulationResult:
         a, b, c, d, f = evolve_x_state(generators, params.nbar, grid.points)
     _check_health(a, b, c, d, f)
 
+    responses_at = None  # built on the first call, so event-free runs skip it
+
     def precursor_at(t: float) -> float:
-        _, bt, ct, _, ft = evolve_x_state(generators, params.nbar, [t])
-        return float(precursor_from_components(bt, ct, ft)[0])
+        nonlocal responses_at
+        if responses_at is None:
+            responses_at = cell_responses(generators, grid)
+        _, bt, ct, _, ft = x_state_from_responses(*responses_at(t), params.nbar)
+        return float(precursor_from_components(bt, ct, ft))
 
     prec = precursor_from_components(b, c, f)
     conc = np.clip(prec, 0.0, 1.0)

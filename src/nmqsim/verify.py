@@ -39,7 +39,7 @@ from .presets import PRESETS, default_grid
 from .propagator import TimeGrid, evolve_x_state, slow_solution
 from .reconstruction import physicality_deviations, x_matrix
 
-__all__ = ["CheckResult", "run_quick", "run_full", "run_nz_only"]
+__all__ = ["CheckResult", "run_quick", "run_full"]
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,6 @@ def _factorization_check(name: str, t: float, corrupt: bool) -> CheckResult:
     return CheckResult(
         f"map-factorization[{name}]", dev <= 1e-8, f"max deviation {dev:.2e}"
     )
-
-
-def run_nz_only(corrupt: bool = False):
-    return [_nz_check(corrupt)]
 
 
 def run_full(corrupt: bool = False, fast: bool = False):

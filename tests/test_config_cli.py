@@ -327,6 +327,51 @@ def test_subnormal_grid_step_exit_code(tmp_path, capsys, t_end):
     assert not (tmp_path / "sim").exists() and not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("t_end = 1e-310\n", "t_end"),
+        ("t_end = -1\n", "t_end"),
+        ("num_points = 1\n", "num_points"),
+        ("num_points = 1\nt_end = -1\n", "num_points"),
+    ],
+)
+def test_grid_error_names_its_key(text, key):
+    for parse in (parse_scenario, parse_sweep):
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        assert err.value.key == key
+
+
+def test_threshold_above_one_is_config_error(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario("threshold = 1.5\n")
+    assert err.value.key == "threshold"
+    assert parse_scenario("threshold = 1\n").threshold == 1.0
+    cfg = write_config(tmp_path, "threshold = 4\nnum_points = 101\n")
+    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_run_record_lists_library_versions(tmp_path):
+    import scipy
+
+    out = tmp_path / "versions"
+    assert main(["simulate", "--preset", "fig2", "--out", str(out)]) == 0
+    record = json.loads((out / "run.json").read_text())
+    assert record["versions"] == {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def test_verify_has_no_nz_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nz"])
+    assert exc.value.code == 2
+    assert "--nz" in capsys.readouterr().err
+
+
 def test_value_error_exit_code(tmp_path, monkeypatch, capsys):
     def unbracketed(*_args):
         raise ValueError("f(a) and f(b) must have different signs")

@@ -1,5 +1,7 @@
 """Concurrence routes, EoF, and death/revival event extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from nmqsim.entanglement import (
     EntanglementEvent,
     EntanglementSeries,
     EventKind,
+    _scan,
     concurrence_general_series,
     entanglement_of_formation,
     extract_events,
@@ -260,6 +263,68 @@ def test_threshold_validation():
         extract_events(make_series(1.0, s), threshold=0.0)
     with pytest.raises(ValueError):
         extract_events(make_series(1.0, s), threshold=-1e-6)
+    # above 1 the revival level sqrt(threshold) would lie below the death level
+    with pytest.raises(ValueError):
+        extract_events(make_series(1.0, s), threshold=1.5)
+    at_one = extract_events(make_series(1.0, np.array([1.0, 0.4, 0.3])), threshold=1.0)
+    assert [e.kind for e in at_one] == [EventKind.FINAL_DEATH]
+
+
+def scalar_scan(s, threshold):
+    """The sample-by-sample hysteresis scan: (kind, i, precise) per crossing."""
+    revive_level = np.sqrt(threshold)
+    events = []
+    dead = s[0] < threshold
+    death_start = 0
+    death_pos = None
+    for i in range(len(s) - 1):
+        if not dead and s[i + 1] < threshold:
+            events.append([EventKind.DEATH, i, True])
+            dead, death_start, death_pos = True, i + 1, len(events) - 1
+        elif dead and s[i + 1] > revive_level:
+            precise = i + 1 - death_start >= 2
+            if not precise and death_pos is not None:
+                events[death_pos][2] = False
+            events.append([EventKind.REVIVAL, i, precise])
+            dead = False
+    if dead and events and events[-1][0] is EventKind.DEATH:
+        events[-1][0] = EventKind.FINAL_DEATH
+    return [tuple(e) for e in events]
+
+
+# values on and around both levels of threshold 1e-4 (revival level 1e-2),
+# so draws hold tangential touches, runs that start dead and one-sample dips
+LEVEL_VALUES = [0.5, 1e-2 + 1e-9, 1e-2, 5e-3, 1e-4, 1e-4 - 1e-12, 0.0, -0.2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from(LEVEL_VALUES), st.floats(-0.5, 0.5)),
+        min_size=2,
+        max_size=40,
+    )
+)
+def test_vectorised_scan_equals_scalar_scan(values):
+    s = np.array(values)
+    expected = scalar_scan(s, 1e-4)
+    assert [(kind, i, precise) for kind, i, _, precise in _scan(s, 1e-4)] == expected
+    # extract_events takes the same brackets: chord times lie inside them
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        events = extract_events(make_series(len(s) - 1.0, s), threshold=1e-4)
+    assert [(e.kind, e.precise) for e in events] == [(k, p) for k, _, p in expected]
+    for event, (_, i, _) in zip(events, expected):
+        assert i <= event.time <= i + 1
+
+
+def test_coarse_grid_warning_once_per_call():
+    s = np.array([0.5, 1e-9, 0.5, 0.5, 1e-9, 0.5, 0.5])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        events = extract_events(make_series(6.0, s))
+    assert len(caught) == 1 and "within two grid steps" in str(caught[0].message)
+    assert [e.precise for e in events] == [False] * 4
 
 
 def test_bisection_uses_continuous_precursor():

@@ -1,5 +1,7 @@
 """Per-qubit responses s(t), u(t) and the X state they build."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,7 +9,15 @@ import scipy.linalg
 
 from nmqsim.model import ModelParams, build_generator
 from nmqsim.presets import preset_params
-from nmqsim.propagator import TimeGrid, evolve_x_state, responses
+from nmqsim.propagator import (
+    TAYLOR_TOL,
+    TimeGrid,
+    cell_responses,
+    evolve_x_state,
+    responses,
+    taylor_degree,
+    x_state_from_responses,
+)
 from nmqsim.reconstruction import physicality_deviations, x_matrix
 
 # reference coefficients for the resonant strongly-coupled scenario,
@@ -181,6 +191,45 @@ def test_x_state_from_responses():
     assert np.abs(a - 0.5 * (e1 * e2 + g1 * g2)).max() < 1e-15
     assert np.abs(d - 0.5 * ((1 - e1) * (1 - e2) + (1 - g1) * (1 - g2))).max() < 1e-15
     assert np.array_equal(f, 0.5 * u1 * u2)
+
+
+def test_x_state_formula_takes_plain_numbers():
+    # the continuous-time evaluator feeds the grid's formula Python floats
+    params = preset_params("fig7")
+    times = TimeGrid(0.0, 10.0, 101).points
+    (s1, u1), (s2, u2) = (responses(build_generator(params, k), times) for k in (1, 2))
+    grid_state = x_state_from_responses(s1, u1, s2, u2, params.nbar)
+    for i in (0, 37, 100):
+        point = x_state_from_responses(
+            float(s1[i]), complex(u1[i]), float(s2[i]), complex(u2[i]), params.nbar
+        )
+        # the real components agree bitwise; numpy's complex product for f
+        # may round its last bit differently from Python's
+        assert all(p == g[i] for p, g in zip(point[:4], grid_state))
+        assert abs(point[4] - grid_state[4][i]) <= 1e-17
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e-3, 0.0425, 0.39, 0.6, 1.0])
+def test_taylor_degree_is_smallest_meeting_bound(norm):
+    def bound(k):
+        return norm ** (k + 1) / math.factorial(k + 1) * math.exp(norm)
+
+    degree = taylor_degree(norm)
+    assert bound(degree) <= TAYLOR_TOL
+    assert degree == 0 or bound(degree - 1) > TAYLOR_TOL
+
+
+def test_cell_responses_match_responses_on_the_grid():
+    # at grid times the Taylor step is zero: the cell column is the grid's
+    params = preset_params("fig6")
+    grid = TimeGrid(0.0, 4.0, 401)
+    gens = [build_generator(params, k) for k in (1, 2)]
+    at = cell_responses(gens, grid)
+    (s1, u1), (s2, u2) = (responses(g, grid.points) for g in gens)
+    for i in (0, 1, 150, 399):
+        got = at(grid.points[i])
+        want = (s1[i], u1[i], s2[i], u2[i])
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-15
 
 
 def test_symmetric_pairs_evolve_identically():
