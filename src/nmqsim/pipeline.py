@@ -20,7 +20,6 @@ from .entanglement import (
 )
 from .model import ModelParams, build_generator
 from .propagator import TimeGrid, cell_responses, evolve_x_state, x_state_from_responses
-from .reconstruction import x_matrix
 
 __all__ = ["HEALTH_TOL", "RunHealthError", "SimulationResult", "simulate"]
 
@@ -44,11 +43,6 @@ class SimulationResult:
     d: np.ndarray
     f: np.ndarray
     series: EntanglementSeries
-
-    @property
-    def rho(self) -> np.ndarray:
-        """Reduced density matrix at every grid point, shape (n, 4, 4), built on demand."""
-        return x_matrix(self.a, self.b, self.c, self.d, self.f)
 
 
 def _check_health(a, b, c, d, f) -> None:

@@ -33,7 +33,7 @@ from nmqsim.oracle import (
 from nmqsim.pipeline import simulate
 from nmqsim.presets import PRESETS, default_grid, preset_params
 from nmqsim.propagator import TimeGrid, slow_solution
-from nmqsim.reconstruction import physicality_deviations
+from nmqsim.reconstruction import physicality_deviations, x_matrix
 
 BELL = 0.5 * np.array([
     [1, 0, 0, 1],
@@ -69,7 +69,8 @@ def test_criterion_1_initial_state():
     for name in PRESETS:
         result = simulate(preset_params(name), grid)
         c_dev = max(c_dev, abs(result.series.concurrence[0] - 1.0))
-        rho_dev = max(rho_dev, np.abs(result.rho[0] - BELL).max())
+        rho = x_matrix(result.a, result.b, result.c, result.d, result.f)
+        rho_dev = max(rho_dev, np.abs(rho[0] - BELL).max())
     elapsed = time.monotonic() - t0
     ok = c_dev <= 1e-12 and rho_dev <= 1e-12 and elapsed < 1.0
     report(1, "initial state", ok,
@@ -85,11 +86,12 @@ def test_criterion_2_physicality():
     worst = {"trace": 0.0, "herm": 0.0, "eig": 0.0, "pattern": 0.0}
     for name in PRESETS:
         result = simulate(preset_params(name), grid)
-        trace_dev, herm_dev, min_eig = physicality_deviations(result.rho)
+        rho = x_matrix(result.a, result.b, result.c, result.d, result.f)
+        trace_dev, herm_dev, min_eig = physicality_deviations(rho)
         worst["trace"] = max(worst["trace"], trace_dev)
         worst["herm"] = max(worst["herm"], herm_dev)
         worst["eig"] = max(worst["eig"], -min_eig)
-        worst["pattern"] = max(worst["pattern"], np.abs(result.rho[:, X_OFF_PATTERN]).max())
+        worst["pattern"] = max(worst["pattern"], np.abs(rho[:, X_OFF_PATTERN]).max())
     elapsed = time.monotonic() - t0
     ok = (worst["trace"] <= 1e-9 and worst["herm"] <= 1e-12
           and worst["eig"] <= 1e-9 and worst["pattern"] <= 1e-9 and elapsed < 10.0)
@@ -109,7 +111,9 @@ def test_criterion_3_concurrence_route_equivalence():
     dev = 0.0
     for name in PRESETS:
         result = simulate(preset_params(name), grid)
-        general = concurrence_general_series(result.rho)
+        general = concurrence_general_series(
+            x_matrix(result.a, result.b, result.c, result.d, result.f)
+        )
         dev = max(dev, np.abs(general - result.series.concurrence).max())
     elapsed = time.monotonic() - t0
     ok = dev <= 1e-10 and elapsed < 30.0
@@ -127,7 +131,8 @@ def test_criterion_4_oracle_equivalence():
         result = simulate(params, grid)
         full = evolve_full(params, full_initial_state(bell_state(), params.nbar), grid)
         reduced = partial_trace_34(full)
-        dev = max(dev, np.abs(result.rho - reduced).max())
+        rho = x_matrix(result.a, result.b, result.c, result.d, result.f)
+        dev = max(dev, np.abs(rho - reduced).max())
     elapsed = time.monotonic() - t0
     ok = dev <= 1e-8 and elapsed < 120.0
     report(4, "oracle equivalence", ok, f"max dev {dev:.2e}, {elapsed:.2f}s")

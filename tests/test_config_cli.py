@@ -13,6 +13,9 @@ import pytest
 
 from nmqsim.cli import main
 from nmqsim.config import GRID_CAP, SWEEP_CAP, ConfigError, parse_scenario, parse_sweep
+from nmqsim.entanglement import EventKind, extract_events
+from nmqsim.output import format_number
+from nmqsim.pipeline import simulate
 from nmqsim.presets import PRESETS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -414,18 +417,50 @@ def test_scenario_hash_is_canonical(tmp_path):
     assert moved != sweep
 
 
-def test_sweep_thread_env(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, "alpha1 = 1, 2\nnum_points = 101\n")
-    monkeypatch.setenv("NMQ_THREADS", "2")
-    out = tmp_path / "threads"
+def test_sweep_rows_match_simulate(tmp_path):
+    cfg = write_config(
+        tmp_path, "alpha1 = 0.5, 5\ngamma = 0.5, 1\nnbar = 0, 0.2\nnum_points = 401\n"
+    )
+    out = tmp_path / "rows"
     assert main(["sweep", cfg, "--out", str(out)]) == 0
-    _, rows = read_sweep(out / "sweep.csv")
-    assert len(rows) == 2
+    header, rows = read_sweep(out / "sweep.csv")
+    spec = parse_sweep(Path(cfg).read_text())
+    assert header[:3] == ["alpha1", "gamma", "nbar"]
+    expected = []
+    for assignment, params in spec.points():
+        result = simulate(params, spec.grid)
+        events = extract_events(result.series, threshold=spec.threshold)
+        finals = [e.time for e in events if e.kind is EventKind.FINAL_DEATH]
+        revivals = sum(1 for e in events if e.kind is EventKind.REVIVAL)
+        integral = np.trapezoid(result.series.concurrence, spec.grid.points)
+        expected.append(
+            [format_number(v) for v in assignment.values()]
+            + [format_number(finals[0]) if finals else "none", str(revivals)]
+            + [format_number(integral)]
+        )
+    assert rows == expected
+    # the sweep covers a surviving pair, a final death and revivals
+    assert {r[3] == "none" for r in rows} == {True, False}
+    assert max(int(r[4]) for r in rows) > 0
 
-    monkeypatch.setenv("NMQ_THREADS", "zero")
-    assert main(["sweep", cfg, "--out", str(out)]) == 2
-    monkeypatch.setenv("NMQ_THREADS", "0")
-    assert main(["sweep", cfg, "--out", str(out)]) == 2
+
+def test_sweep_names_grid_limited_rows(tmp_path):
+    cfg = write_config(tmp_path, "alpha1 = 1:3:10\nnum_points = 101\n")
+    out = tmp_path / "coarse"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", cfg, "--out", str(out)]) == 0
+    assert len(caught) == 1 and caught[0].category is UserWarning
+    message = str(caught[0].message)
+    assert message.startswith("2 of 10 sweep rows ")
+    assert message.split(": ", 1)[1].split("; ") == ["alpha1=2.77777777778", "alpha1=3"]
+    _, rows = read_sweep(out / "sweep.csv")
+    assert len(rows) == 10
+
+    # a sweep with no axis has one row and nothing to name it by
+    cfg = write_config(tmp_path, "alpha1 = 3\nnum_points = 101\n", "one.cfg")
+    with pytest.warns(UserWarning, match="limited: the only point$"):
+        assert main(["sweep", cfg, "--out", str(tmp_path / "one")]) == 0
 
 
 def test_verify_quick(capsys):

@@ -22,6 +22,7 @@ from nmqsim.oracle import (
 from nmqsim.pipeline import simulate
 from nmqsim.presets import preset_params
 from nmqsim.propagator import TimeGrid
+from nmqsim.reconstruction import x_matrix
 
 SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # raises |0> to |1> (excited first)
 SM = SP.T
@@ -109,7 +110,8 @@ def test_reference_matches_coefficient_solver():
     result = simulate(params, grid)
     full = evolve_full(params, full_initial_state(bell_state(), params.nbar), grid)
     reduced = partial_trace_34(full)
-    assert np.abs(result.rho - reduced).max() < 1e-8
+    rho = x_matrix(result.a, result.b, result.c, result.d, result.f)
+    assert np.abs(rho - reduced).max() < 1e-8
 
 
 # the nine pair operators whose span is closed under the pair Liouvillian;

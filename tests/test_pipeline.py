@@ -9,7 +9,7 @@ from nmqsim.model import ModelParams, build_generator
 from nmqsim.pipeline import simulate
 from nmqsim.presets import PRESETS, default_grid, preset_params
 from nmqsim.propagator import TimeGrid, evolve_x_state
-from nmqsim.reconstruction import physicality_deviations
+from nmqsim.reconstruction import physicality_deviations, x_matrix
 
 
 def test_simulate_shapes_and_initial_state():
@@ -17,7 +17,7 @@ def test_simulate_shapes_and_initial_state():
     grid = default_grid()
     result = simulate(params, grid)
     n = grid.num_points
-    assert result.rho.shape == (n, 4, 4)
+    assert x_matrix(result.a, result.b, result.c, result.d, result.f).shape == (n, 4, 4)
     for arr in (result.a, result.b, result.c, result.d, result.f):
         assert arr.shape == (n,)
     assert result.series.concurrence[0] == pytest.approx(1.0, abs=1e-12)
@@ -61,7 +61,7 @@ def test_extreme_qubit_frequency():
         return simulate(params, default_grid())
 
     fast, slow = run(1e9), run(10.0)
-    assert physicality_deviations(fast.rho)[1] == 0.0
+    assert physicality_deviations(x_matrix(fast.a, fast.b, fast.c, fast.d, fast.f))[1] == 0.0
     assert np.abs(fast.series.concurrence - slow.series.concurrence).max() < 1e-12
 
 

@@ -232,6 +232,34 @@ def test_cell_responses_match_responses_on_the_grid():
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-15
 
 
+LONG_GRID_POINTS = {
+    "fig3": preset_params("fig3"),
+    "fig6": preset_params("fig6"),
+    "fig9": preset_params("fig9"),
+    "detuned": ModelParams.from_detunings(
+        omega1=10.0, delta1=2.0, delta2=2.0, alpha1=3.0, alpha2=3.0, gamma=0.2, nbar=0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LONG_GRID_POINTS))
+def test_long_grid_matches_high_precision(name):
+    # sample i is column 0 of expm(B t_0) times one expm(B 2^j dt) per set
+    # bit j of i: 4097, 8193 and 16385 open new doubling levels, and 16383
+    # takes the longest product on this grid, 14 factors.  u is a closed
+    # form whose phase reaches ~100 rad at t = 10, so its rounding is about
+    # eps * 100, not a few ulps
+    gen = build_generator(LONG_GRID_POINTS[name], 1)
+    grid = TimeGrid(0.0, 10.0, 20001)
+    s, u = responses(gen, grid.points)
+    with mpmath.workdps(50):
+        pop, coh = (mpmath.matrix(gen[sl, sl].tolist()) for sl in (slice(1, 5), slice(5, 7)))
+        for i in (1, 4097, 8193, 16383, 16385, 20000):
+            t = mpmath.mpf(grid.points[i])
+            assert abs(s[i] - float(mpmath.re(mpmath.expm(pop * t)[0, 0]))) < 2e-15
+            assert abs(u[i] - complex(mpmath.expm(coh * t)[0, 0])) < 1e-14
+
+
 def test_symmetric_pairs_evolve_identically():
     params = preset_params("fig8")
     times = TimeGrid(0.0, 5.0, 101).points
