@@ -48,7 +48,7 @@ _SIGMA_YY = np.array(
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """rho~ = (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y)."""
+    """rho~ = (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y), for one matrix or a stack."""
     return _SIGMA_YY @ np.conj(rho) @ _SIGMA_YY
 
 
@@ -80,8 +80,7 @@ def concurrence_general_series(rhos: np.ndarray, tol: float = 1e-6) -> np.ndarra
     weig = np.linalg.eigvalsh(sym)
     if weig.min() < -tol:
         raise ValueError(f"input not positive semidefinite: min eigenvalue {weig.min():.3e}")
-    flipped = np.einsum("ij,njk,kl->nil", _SIGMA_YY, np.conj(sym), _SIGMA_YY)
-    prod = _psd_sqrt_batch(flipped) @ _psd_sqrt_batch(sym)
+    prod = _psd_sqrt_batch(spin_flip(sym)) @ _psd_sqrt_batch(sym)
     lam = np.linalg.svd(prod, compute_uv=False)  # descending
     c = lam[:, 0] - lam[:, 1:].sum(axis=1)
     return np.clip(c, 0.0, 1.0)

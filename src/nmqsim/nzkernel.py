@@ -23,6 +23,12 @@ which the solver carries from step to step instead of re-summing the
 history.  A solve therefore costs O(N) small products rather than O(N^2),
 and it needs no eigendecomposition, so it holds unchanged where QLQ is
 defective.
+
+After the first step, which alone has the half weight on y_0 and no
+history, every step is one fixed linear map of the 9-vector
+z_i = [y_i, h_i]: z_{i+1} = z_i T.  The solver builds the 9x9 step map T
+once, by pushing the identity through one step, and then applies it step
+by step; it takes no powers of T.
 """
 
 from dataclasses import dataclass
@@ -121,6 +127,9 @@ def solve_nz(
     single correction would leave on the oscillatory components.  Global
     error is O(dt^2).  The history sum is carried as the Q-space vector h
     of the module docstring, so the cost is linear in the number of steps.
+    Step 0 is taken on its own; every later step is one product with the
+    fused 9x9 step map T of [y, h], built from the same prediction, the
+    same two corrector passes and the same h update.
 
     ``init`` is one 9-vector or a (k, 9) stack solved together.  Returns
     (num_points, 9), or (num_points, k, 9) for a stack, with support on
@@ -151,23 +160,34 @@ def solve_nz(
     K0 = kernel.left @ kernel.right
     Mt = (np.asarray(local, dtype=complex)[np.ix_(_P, _P)] + 0.5 * dt * K0).T
     half_Mt = 0.5 * dt * Mt
-    y = np.zeros((grid.num_points,) + init.shape[:-1] + (len(_P),), dtype=complex)
-    y[0] = init[..., _P]
-    h = 0.5 * y[0] @ LPt  # the trapezoid's half weight on y_0
-    partial = np.zeros_like(y[0])
-    for i in range(grid.num_points - 1):
-        F = y[i] @ Mt + partial
-        if i:
-            h += y[i] @ LPt
+
+    def step(y, h, partial):
+        """One step from y_i, with h already carrying y_i; returns y_{i+1}, h_{i+1}."""
+        F = y @ Mt + partial
         h = h @ Et
         partial = h @ PLt
         # Euler prediction, then two passes of y + dt/2 (F + M ynew + partial)
-        fixed = y[i] + 0.5 * dt * (F + partial)
-        ynew = y[i] + dt * F
+        fixed = y + 0.5 * dt * (F + partial)
+        ynew = y + dt * F
         for _ in range(2):
             ynew = fixed + ynew @ half_Mt
-        y[i + 1] = ynew
+        return ynew, h
 
-    out = np.zeros(y.shape[:-1] + (9,), dtype=complex)
-    out[..., _P] = y
+    p = len(_P)
+    z = np.zeros((grid.num_points,) + init.shape[:-1] + (p + len(_Q),), dtype=complex)
+    z[0, ..., :p] = init[..., _P]
+    if grid.num_points > 1:
+        # step 0: the trapezoid's half weight on y_0, and no history yet
+        y0 = z[0, ..., :p]
+        z[1, ..., :p], z[1, ..., p:] = step(y0, 0.5 * y0 @ LPt, np.zeros_like(y0))
+    # every later step is one linear map of z_i = [y_i, h_i]: push the
+    # identity through it once, then apply it row by row
+    eye = np.eye(p + len(_Q), dtype=complex)
+    y, h = eye[:, :p], eye[:, p:]
+    T = np.concatenate(step(y, h + y @ LPt, h @ PLt), axis=1)
+    for i in range(1, grid.num_points - 1):
+        np.matmul(z[i], T, out=z[i + 1])
+
+    out = np.zeros(z.shape[:-1] + (9,), dtype=complex)
+    out[..., _P] = z[..., :p]
     return out

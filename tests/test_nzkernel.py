@@ -217,6 +217,20 @@ def test_recurrence_matches_quadratic_reference(case):
         assert np.abs(sol - reference_solve(gen, init, grid)).max() < 1e-12
 
 
+@pytest.mark.parametrize("num_points", [2, 3])
+def test_first_steps_match_quadratic_reference(num_points):
+    # step 0 is taken on its own (half trapezoid weight, no history) and
+    # step 1 is the first through the fused step map
+    params, gen, projs, grid = kernel_setup("fig6", 0.2, num_points)
+    kernel = build_kernel(gen, projs, grid)
+    terms = (InitialTerm.EE, InitialTerm.EG)
+    inits = np.stack([initial_coefficients(term, params.nbar) for term in terms])
+    sol = solve_nz(kernel, local_term(gen, projs), inits, grid)
+    assert sol.shape == (num_points, 2, 9)
+    for j, init in enumerate(inits):
+        assert np.abs(sol[:, j] - reference_solve(gen, init, grid)).max() < 1e-14
+
+
 def test_stack_equals_single_calls():
     params, gen, projs, grid = kernel_setup("fig6", 2.0, 401)
     kernel = build_kernel(gen, projs, grid)

@@ -6,7 +6,9 @@ between the two is evidence for both.
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import nmqsim.oracle
 from nmqsim.model import ModelParams, build_generator, thermal_state
 from nmqsim.oracle import (
     apply_product_map,
@@ -93,6 +95,43 @@ def test_evolution_starts_at_initial_state_and_keeps_trace():
     assert np.abs(rhos[0] - rho0).max() < 1e-12
     traces = np.trace(rhos, axis1=1, axis2=2)
     assert np.abs(traces - 1.0).max() < 1e-9
+
+
+ORACLE_PRESETS = ("fig2", "fig3", "fig6")
+
+
+@pytest.mark.parametrize("name", ORACLE_PRESETS)
+def test_sparse_rhs_matches_dense_liouvillian(name, monkeypatch):
+    # capture the right-hand side evolve_full integrates
+    captured = []
+
+    def recording_solve_ivp(fun, *args, **kwargs):
+        captured.append(fun)
+        return solve_ivp(fun, *args, **kwargs)
+
+    monkeypatch.setattr(nmqsim.oracle, "solve_ivp", recording_solve_ivp)
+    params = preset_params(name)
+    evolve_full(params, full_initial_state(bell_state(), params.nbar), TimeGrid(0.0, 0.1, 2))
+    L = build_full_liouvillian(params)
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=256) + 1j * rng.normal(size=256)
+    bound = 1e-14 * np.linalg.norm(L, 2) * np.linalg.norm(y)
+    assert np.abs(captured[0](0.0, y) - L @ y).max() <= bound
+
+
+@pytest.mark.parametrize("name", ORACLE_PRESETS)
+def test_evolve_full_matches_dense_rhs_reference(name):
+    params = preset_params(name)
+    grid = TimeGrid(0.0, 1.0, 101)
+    rho0 = full_initial_state(bell_state(), params.nbar)
+    L = build_full_liouvillian(params)
+    ref = solve_ivp(
+        lambda t, y: L @ y, (0.0, 1.0), rho0.reshape(256),
+        method="DOP853", t_eval=grid.points, rtol=1e-10, atol=1e-12,
+    )
+    assert ref.success
+    rhos = evolve_full(params, rho0, grid)
+    assert np.abs(rhos - ref.y.T.reshape(grid.num_points, 16, 16)).max() < 1e-13
 
 
 def test_partial_trace_examples():

@@ -148,7 +148,6 @@ def test_alpha_zero_freezes_populations():
 def test_exceptional_point_sweep():
     # for zero detuning both blocks are defective at alpha = gamma_eff / 2;
     # s and u must match a 50-digit exponential on both sides and on it
-    mpmath.mp.dps = 50
     for nbar in (0.0, 0.2):
         critical = 0.5 * (2.0 * nbar + 1.0) * 0.5
         for rel in (-1e-2, -1e-6, -1e-10, 0.0, 1e-10, 1e-6, 1e-2):
@@ -156,8 +155,9 @@ def test_exceptional_point_sweep():
             gen = build_generator(params, 1)
             for t in (0.5, 2.0, 10.0):
                 s, u = responses(gen, [t])
-                ref_s = mpmath.expm(mpmath.matrix(gen[1:5, 1:5].tolist()) * t)[0, 0]
-                ref_u = mpmath.expm(mpmath.matrix(gen[5:7, 5:7].tolist()) * t)[0, 0]
+                with mpmath.workdps(50):
+                    ref_s = mpmath.expm(mpmath.matrix(gen[1:5, 1:5].tolist()) * t)[0, 0]
+                    ref_u = mpmath.expm(mpmath.matrix(gen[5:7, 5:7].tolist()) * t)[0, 0]
                 assert abs(s[0] - float(mpmath.re(ref_s))) < 1e-12
                 assert abs(u[0] - complex(ref_u)) < 1e-12
             grid = TimeGrid(0.0, 10.0, 201)
