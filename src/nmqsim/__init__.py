@@ -33,10 +33,9 @@ from .model import (
     Q_INDICES,
     build_generator,
     initial_coefficients,
-    projector_pair,
     thermal_state,
 )
-from .nzkernel import MemoryKernelSamples, build_kernel, local_term, solve_nz
+from .nzkernel import MemoryKernelSamples, build_kernel, solve_nz
 from .oracle import (
     build_full_liouvillian,
     choi_of_subsystem_map,
@@ -76,13 +75,11 @@ __all__ = [
     "evolve_x_state",
     "extract_events",
     "initial_coefficients",
-    "local_term",
     "markovian_rate",
     "parse_scenario",
     "parse_sweep",
     "partial_trace_34",
     "preset_params",
-    "projector_pair",
     "responses",
     "simulate",
     "slow_solution",

@@ -136,6 +136,11 @@ def _parse_values(key: str, text: str) -> list:
             raise ConfigError(f"key {key!r}: range count must be an integer", key=key) from None
         if n < 2 or hi <= lo:
             raise ConfigError(f"key {key!r}: range needs hi > lo and n >= 2", key=key)
+        # no axis may exceed the sweep cap; reject the count before building it
+        if n > SWEEP_CAP:
+            raise ConfigError(
+                f"key {key!r}: range count {n} is more than the cap {SWEEP_CAP}", key=key
+            )
         return [float(v) for v in np.linspace(lo, hi, n)]
     return [_parse_float(key, part) for part in text.split(",")]
 

@@ -34,6 +34,9 @@ __all__ = [
     "extract_events",
 ]
 
+# largest Hermiticity, trace or negative-eigenvalue defect accepted as a state
+INPUT_TOL = 1e-6
+
 # sigma_y (x) sigma_y in the (|11>,|10>,|01>,|00>) product basis; the value
 # is ordering-independent up to this anti-diagonal sign pattern.
 _SIGMA_YY = np.array(
@@ -59,7 +62,7 @@ def _psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", v, w, np.conj(v))
 
 
-def concurrence_general_series(rhos: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def concurrence_general_series(rhos: np.ndarray) -> np.ndarray:
     """Eigenvalue-route concurrence for a batch of 4x4 density matrices.
 
     Computes the lambda_i as singular values of sqrt(rho~) sqrt(rho), which
@@ -71,14 +74,14 @@ def concurrence_general_series(rhos: np.ndarray, tol: float = 1e-6) -> np.ndarra
     if rhos.ndim == 2:
         rhos = rhos[None]
     herm = np.abs(rhos - np.conj(np.swapaxes(rhos, -2, -1))).max()
-    if herm > tol:
+    if herm > INPUT_TOL:
         raise ValueError(f"input not Hermitian: max deviation {herm:.3e}")
     tr = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0).max()
-    if tr > tol:
+    if tr > INPUT_TOL:
         raise ValueError(f"input trace differs from 1 by {tr:.3e}")
     sym = 0.5 * (rhos + np.conj(np.swapaxes(rhos, -2, -1)))
     weig = np.linalg.eigvalsh(sym)
-    if weig.min() < -tol:
+    if weig.min() < -INPUT_TOL:
         raise ValueError(f"input not positive semidefinite: min eigenvalue {weig.min():.3e}")
     prod = _psd_sqrt_batch(spin_flip(sym)) @ _psd_sqrt_batch(sym)
     lam = np.linalg.svd(prod, compute_uv=False)  # descending

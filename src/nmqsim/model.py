@@ -64,7 +64,6 @@ __all__ = [
     "ParameterError",
     "build_generator",
     "initial_coefficients",
-    "projector_pair",
     "thermal_state",
 ]
 
@@ -80,11 +79,13 @@ class ParameterError(ValueError):
 
 
 class InitialTerm(enum.Enum):
-    """The four product terms whose sum reconstructs the joint Bell state.
+    """The four single-qubit operators that start the memory-kernel check.
 
-    The initial two-qubit state ``(|00> + |11>)/sqrt(2)`` expands into four
-    operator products; each term evolves independently per qubit/auxiliary
-    pair and is tagged by the qubit operator it starts from.
+    Each names a qubit operator that, with the auxiliary atom thermal,
+    :func:`initial_coefficients` turns into a pair coefficient vector on
+    the slow indices.  The memory-kernel check solves the projected
+    equation from these vectors and compares with the direct solution;
+    the primary path does not use them.
     """
 
     EE = "ee"  # |1><1| on the qubit
@@ -205,7 +206,7 @@ def thermal_state(nbar: float) -> np.ndarray:
 
 
 def initial_coefficients(term: InitialTerm, nbar: float) -> np.ndarray:
-    """Coefficient vector of one Bell-expansion term for a single pair.
+    """Coefficient vector of one qubit operator for a single pair.
 
     The auxiliary atom always starts in its thermal state, so each qubit
     operator expands exactly in the nine-operator basis:
@@ -279,19 +280,3 @@ def build_generator(params: ModelParams, k: int) -> np.ndarray:
     L[8, 8] = -(ge - 1j * omega_aux)
 
     return L
-
-
-def projector_pair() -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal projectors onto the reduced and traced-out subspaces.
-
-    Returns integer matrices ``(P, Q)`` with ones on :data:`P_INDICES`
-    and :data:`Q_INDICES` respectively, so ``P + Q = I``, ``P @ P = P``,
-    ``Q @ Q = Q`` and ``P @ Q = 0`` hold exactly in integer arithmetic.
-    """
-    P = np.zeros((9, 9), dtype=np.int64)
-    Q = np.zeros((9, 9), dtype=np.int64)
-    for i in P_INDICES:
-        P[i, i] = 1
-    for i in Q_INDICES:
-        Q[i, i] = 1
-    return P, Q

@@ -11,11 +11,11 @@ Nothing is approximated: solving this equation must reproduce the
 projection of the direct solution, and the solver below exists to
 demonstrate that.
 
-The kernel is sampled on a uniform lag grid that must match the solver
-step exactly; interpolating the kernel would muddy the error analysis,
-so mismatched steps are rejected.  On that grid K(i dt) = PL E^i LP with
-E = expm(QLQ dt), so the trapezoidal history sum at step i is dt PL h_i
-for a single 5-dimensional Q-space vector
+The projection is fixed by the generator and the index split, so the
+kernel is built from the generator alone, at the solver's own step dt,
+and is known exactly at every lag i dt: K(i dt) = PL E^i LP with
+E = expm(QLQ dt).  No interpolation enters, and the trapezoidal history
+sum at step i is dt PL h_i for a single 5-dimensional Q-space vector
 
     h_0 = E LP y_0 / 2,    h_i = E (h_{i-1} + LP y_i),
 
@@ -39,7 +39,7 @@ import scipy.linalg
 from .model import P_INDICES, Q_INDICES
 from .propagator import TimeGrid
 
-__all__ = ["MemoryKernelSamples", "build_kernel", "local_term", "solve_nz"]
+__all__ = ["MemoryKernelSamples", "build_kernel", "solve_nz"]
 
 _P = np.array(P_INDICES)
 _Q = np.array(Q_INDICES)
@@ -47,35 +47,28 @@ _Q = np.array(Q_INDICES)
 
 @dataclass(frozen=True)
 class MemoryKernelSamples:
-    """K(tau) on a uniform lag grid, held as its three factors.
+    """The memory kernel at lag step ``step``, held as the blocks that define it.
 
-    ``left`` is PL (4x5), ``step_map`` is E = expm(QLQ dt) (5x5) and
-    ``right`` is LP (5x4), so K(i dt) restricted to P is left E^i right.
+    ``local`` is PLP (4x4), ``left`` is PL (4x5), ``step_map`` is
+    E = expm(QLQ step) (5x5) and ``right`` is LP (5x4), so K(i step)
+    restricted to P is left E^i right.
     """
 
-    lags: np.ndarray
+    step: float
+    local: np.ndarray  # (4, 4)
     left: np.ndarray  # (4, 5)
     step_map: np.ndarray  # (5, 5)
     right: np.ndarray  # (5, 4)
 
     def __post_init__(self):
         p, q = len(_P), len(_Q)
-        if (self.left.shape, self.step_map.shape, self.right.shape) != ((p, q), (q, q), (q, p)):
-            raise ValueError("kernel factors must be 4x5, 5x5 and 5x4")
-        steps = np.diff(self.lags)
-        # linspace jitter is ~1e-12 relative at 1e4 points, so gate well above it
-        if len(steps) and np.abs(steps - steps.mean()).max() > 1e-6 * abs(steps.mean()):
-            raise ValueError("kernel lags must be uniformly spaced")
+        shapes = (self.local.shape, self.left.shape, self.step_map.shape, self.right.shape)
+        if shapes != ((p, p), (p, q), (q, q), (q, p)):
+            raise ValueError("kernel blocks must be 4x4, 4x5, 5x5 and 5x4")
 
-    @property
-    def step(self) -> float:
-        return float(self.lags[1] - self.lags[0])
-
-    @property
-    def samples(self) -> np.ndarray:
-        """K at every lag, (len(lags), 9, 9) with support on rows/columns 0, 1, 5, 7."""
-        n = len(self.lags)
-        # PL E^(m + j) = (PL E^j) E^m fills the grid in log2(n) batched products
+    def samples(self, n: int) -> np.ndarray:
+        """K at lags 0, step, ..., (n - 1) step: (n, 9, 9), support on rows/columns 0, 1, 5, 7."""
+        # PL E^(m + j) = (PL E^j) E^m fills the lags in log2(n) batched products
         rows = np.empty((n,) + self.left.shape, dtype=complex)
         rows[0] = self.left
         m, Em = 1, self.step_map
@@ -88,37 +81,27 @@ class MemoryKernelSamples:
         return out
 
 
-def build_kernel(generator, projectors, lags: TimeGrid) -> MemoryKernelSamples:
-    """K(tau) = P L exp(Q L Q tau) Q L P on the lag grid, in factored form.
+def build_kernel(generator, step: float) -> MemoryKernelSamples:
+    """K(tau) = P L exp(Q L Q tau) Q L P at lag step ``step``, in factored form.
 
-    exp(QLQ i dt) is the i-th power of E = expm(QLQ dt), taken by
-    scaling-and-squaring, which stays exact where QLQ is defective.
+    The blocks are slices of the 9x9 generator on :data:`P_INDICES` and
+    :data:`Q_INDICES`.  exp(QLQ i step) is the i-th power of
+    E = expm(QLQ step), taken by scaling-and-squaring, which stays exact
+    where QLQ is defective.
     """
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"kernel step must be finite and positive, got {step!r}")
     L = np.asarray(generator, dtype=complex)
-    P, Q = projectors
-    PL = (np.asarray(P, dtype=float) @ L)[np.ix_(_P, _Q)]
-    LP = (L @ np.asarray(P, dtype=float))[np.ix_(_Q, _P)]
-    QLQ = L[np.ix_(_Q, _Q)]
-    times = lags.points
-    if times[0] != 0.0:
-        raise ValueError("kernel lag grid must start at 0")
-    E = scipy.linalg.expm(QLQ * lags.step)
-    return MemoryKernelSamples(lags=times, left=PL, step_map=E, right=LP)
+    return MemoryKernelSamples(
+        step=step,
+        local=L[np.ix_(_P, _P)],
+        left=L[np.ix_(_P, _Q)],
+        step_map=scipy.linalg.expm(L[np.ix_(_Q, _Q)] * step),
+        right=L[np.ix_(_Q, _P)],
+    )
 
 
-def local_term(generator, projectors) -> np.ndarray:
-    """The memoryless part P L P as a full 9x9 matrix."""
-    L = np.asarray(generator, dtype=complex)
-    P = np.asarray(projectors[0], dtype=float)
-    return P @ L @ P
-
-
-def solve_nz(
-    kernel: MemoryKernelSamples,
-    local: np.ndarray,
-    init: np.ndarray,
-    grid: TimeGrid,
-) -> np.ndarray:
+def solve_nz(generator, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Integrate the projected equation with its memory convolution.
 
     Trapezoidal quadrature handles the history integral; each step is an
@@ -133,8 +116,8 @@ def solve_nz(
 
     ``init`` is one 9-vector or a (k, 9) stack solved together.  Returns
     (num_points, 9), or (num_points, k, 9) for a stack, with support on
-    indices 0, 1, 5, 7.  The kernel must be sampled exactly on the grid's
-    lags.
+    indices 0, 1, 5, 7.  The memory kernel of ``generator`` is built at the
+    grid's step.
     """
     init = np.asarray(init, dtype=complex)
     if init.shape[-1:] != (9,) or init.ndim not in (1, 2):
@@ -142,23 +125,17 @@ def solve_nz(
     off = np.abs(init[..., _Q]).max()
     if off > 0.0:
         raise ValueError("initial vector has weight outside the projected subspace")
-    times = grid.points
-    if times[0] != 0.0:
+    if grid.t_start != 0.0:
         raise ValueError("the history integral starts at t=0; grid must too")
     dt = grid.step
-    if abs(kernel.step - dt) > 1e-12 * dt:
-        raise ValueError(
-            f"kernel lag step {kernel.step:g} does not match grid step {dt:g}"
-        )
-    if kernel.lags[-1] < times[-1] - times[0] - 1e-12 * dt:
-        raise ValueError("kernel lags do not cover the requested time span")
+    kernel = build_kernel(generator, dt)
 
     # rows are states, so every map acts from the right through its transpose
     PLt = dt * kernel.left.T
     Et = kernel.step_map.T
     LPt = kernel.right.T
     K0 = kernel.left @ kernel.right
-    Mt = (np.asarray(local, dtype=complex)[np.ix_(_P, _P)] + 0.5 * dt * K0).T
+    Mt = (kernel.local + 0.5 * dt * K0).T
     half_Mt = 0.5 * dt * Mt
 
     def step(y, h, partial):

@@ -34,6 +34,10 @@ __all__ = [
     "apply_product_map",
 ]
 
+# DOP853 tolerances of the 16-dimensional integration
+RTOL = 1e-10
+ATOL = 1e-12
+
 # excited-first single-qubit operators
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # raising
 _SM = _SP.T.copy()  # lowering
@@ -103,13 +107,7 @@ def full_initial_state(rho12: np.ndarray, nbar: float) -> np.ndarray:
     return np.kron(np.kron(rho12, th), th)
 
 
-def evolve_full(
-    params: ModelParams,
-    rho0: np.ndarray,
-    grid: TimeGrid,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> np.ndarray:
+def evolve_full(params: ModelParams, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Integrate the 256-component linear system on the grid, shape (n, 16, 16).
 
     The right-hand side is the Liouvillian of `build_full_liouvillian` in
@@ -124,8 +122,8 @@ def evolve_full(
         y0,
         method="DOP853",
         t_eval=grid.points,
-        rtol=rtol,
-        atol=atol,
+        rtol=RTOL,
+        atol=ATOL,
     )
     if not sol.success:
         raise RuntimeError(

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import concurrence_general_series, precursor_from_components
-from .model import (
-    InitialTerm,
-    ModelParams,
-    build_generator,
-    initial_coefficients,
-    projector_pair,
-)
-from .nzkernel import build_kernel, local_term, solve_nz
+from .model import InitialTerm, ModelParams, build_generator, initial_coefficients
+from .nzkernel import solve_nz
 from .oracle import (
     apply_product_map,
     bell_state,
@@ -136,14 +130,12 @@ def _choi_check(nbar: float) -> CheckResult:
 def _nz_check(corrupt: bool = False, t_end: float = 10.0) -> CheckResult:
     params = PRESETS["fig4"].params()
     gen = (_corrupted_generator if corrupt else build_generator)(params, 1)
-    projectors = projector_pair()
-    local = local_term(gen, projectors)
     inits = [initial_coefficients(term, params.nbar) for term in (InitialTerm.EE, InitialTerm.EG)]
     devs = {}
     for dt in (2e-3, 1e-3):
         grid = TimeGrid(0.0, t_end, int(round(t_end / dt)) + 1)
-        kernel = build_kernel(gen, projectors, grid)
-        nz = solve_nz(kernel, local, np.stack(inits), grid)
+        # grid by keyword: perfbench/tracer.py reads the step count from it
+        nz = solve_nz(gen, np.stack(inits), grid=grid)
         direct = np.stack([slow_solution(gen, init, grid.points) for init in inits], axis=1)
         devs[dt] = float(np.abs(nz - direct).max())
     ratio = devs[2e-3] / devs[1e-3]

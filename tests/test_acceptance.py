@@ -20,9 +20,8 @@ from nmqsim.model import (
     ModelParams,
     build_generator,
     initial_coefficients,
-    projector_pair,
 )
-from nmqsim.nzkernel import build_kernel, local_term, solve_nz
+from nmqsim.nzkernel import solve_nz
 from nmqsim.oracle import (
     bell_state,
     choi_of_subsystem_map,
@@ -144,15 +143,12 @@ def test_criterion_5_memory_kernel_equivalence():
     t0 = time.monotonic()
     params = preset_params("fig4")
     gen = build_generator(params, 1)
-    projs = projector_pair()
-    loc = local_term(gen, projs)
     inits = [initial_coefficients(term, params.nbar) for term in InitialTerm]
     worst = {}
     for num_points in (10001, 5001):  # dt = 1e-3 and 2e-3
         grid = TimeGrid(0.0, 10.0, num_points)
-        kernel = build_kernel(gen, projs, grid)
         direct = np.stack([slow_solution(gen, init, grid.points) for init in inits], axis=1)
-        sol = solve_nz(kernel, loc, np.stack(inits), grid)
+        sol = solve_nz(gen, np.stack(inits), grid)
         worst[num_points] = np.abs(sol - direct).max()
     ratio = worst[5001] / worst[10001]
     elapsed = time.monotonic() - t0

@@ -257,6 +257,23 @@ def test_sweep_cap_exit_code(tmp_path):
     assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_range_count_cap_exit_code(tmp_path, capsys):
+    # the count is rejected before the axis is built: building this one
+    # would ask for terabytes
+    text = "alpha1 = 0:1:1000000000000\n"
+    for parse in (parse_scenario, parse_sweep):
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        assert err.value.key == "alpha1"
+    cfg = write_config(tmp_path, text)
+    assert main(["simulate", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert main(["sweep", cfg, "--out", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("configuration error: key 'alpha1'") for line in err)
+    assert parse_sweep(f"alpha1 = 0:1:{SWEEP_CAP}\n").size() == SWEEP_CAP
+
+
 def test_grid_cap_exit_code(tmp_path, monkeypatch):
     # checked by the parser only: a run at this size would allocate gigabytes
     text = "num_points = 100000000\n"

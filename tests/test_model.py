@@ -1,16 +1,17 @@
-"""Generator construction, projectors and parameter validation."""
+"""Generator construction, the slow-index split and parameter validation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nmqsim.model import (
+    P_INDICES,
+    Q_INDICES,
     InitialTerm,
     ModelParams,
     ParameterError,
     build_generator,
     initial_coefficients,
-    projector_pair,
     thermal_state,
 )
 
@@ -100,13 +101,10 @@ def test_gamma_eff():
 
 
 def test_projectors_idempotent_and_complementary():
-    P, Q = projector_pair()
-    assert np.issubdtype(P.dtype, np.integer) and np.issubdtype(Q.dtype, np.integer)
-    assert np.array_equal(P + Q, np.eye(9, dtype=int))
-    assert np.array_equal(P @ P, P)
-    assert np.array_equal(Q @ Q, Q)
-    assert np.all(P @ Q == 0)
-    assert np.array_equal(np.diag(P), [1, 1, 0, 0, 0, 1, 0, 1, 0])
+    # the projectors are the index split itself: P and Q are complementary
+    # exactly when the two tuples partition the nine coefficients
+    assert sorted(P_INDICES + Q_INDICES) == list(range(9))
+    assert P_INDICES == (0, 1, 5, 7)
 
 
 def test_thermal_state():

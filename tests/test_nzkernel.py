@@ -11,9 +11,8 @@ from nmqsim.model import (
     ModelParams,
     build_generator,
     initial_coefficients,
-    projector_pair,
 )
-from nmqsim.nzkernel import MemoryKernelSamples, build_kernel, local_term, solve_nz
+from nmqsim.nzkernel import MemoryKernelSamples, build_kernel, solve_nz
 from nmqsim.presets import preset_params
 from nmqsim.propagator import TimeGrid, slow_solution
 
@@ -23,9 +22,8 @@ _P, _Q = list(P_INDICES), list(Q_INDICES)
 def kernel_setup(name, t_end=10.0, num_points=10001):
     params = preset_params(name)
     gen = build_generator(params, 1)
-    projs = projector_pair()
     grid = TimeGrid(0.0, t_end, num_points)
-    return params, gen, projs, grid
+    return params, gen, grid
 
 
 def exceptional_point(nbar):
@@ -83,11 +81,11 @@ def reference_solve(gen, init, grid):
 
 
 def test_kernel_at_zero_lag():
-    params, gen, projs, grid = kernel_setup("fig2", 1.0, 11)
-    kernel = build_kernel(gen, projs, grid)
-    P, Q = projs
+    _, gen, grid = kernel_setup("fig2", 1.0, 11)
+    P = np.diag(np.isin(range(9), P_INDICES)).astype(int)
+    Q = np.diag(np.isin(range(9), Q_INDICES)).astype(int)
     ref = P @ gen @ Q @ gen @ P
-    assert np.abs(kernel.samples[0] - ref).max() < 1e-12
+    assert np.abs(build_kernel(gen, grid.step).samples(1)[0] - ref).max() < 1e-12
 
 
 def test_kernel_vanishes_without_coupling():
@@ -97,123 +95,113 @@ def test_kernel_vanishes_without_coupling():
         alpha1=0.0, alpha2=0.0, gamma=0.5, nbar=0.0,
     )
     gen = build_generator(params, 1)
-    kernel = build_kernel(gen, projector_pair(), TimeGrid(0.0, 5.0, 51))
-    assert np.abs(kernel.samples).max() == 0.0
+    kernel = build_kernel(gen, 0.1)
+    assert np.abs(kernel.samples(51)).max() == 0.0
 
 
 def test_kernel_support():
-    _, gen, projs, grid = kernel_setup("fig6", 5.0, 101)
-    kernel = build_kernel(gen, projs, grid)
+    _, gen, grid = kernel_setup("fig6", 5.0, 101)
+    samples = build_kernel(gen, grid.step).samples(grid.num_points)
     # only the slow subspace rows/columns carry weight, and the
     # normalization row stays identically zero
     outside = np.ones((9, 9), dtype=bool)
     outside[np.ix_([0, 1, 5, 7], [0, 1, 5, 7])] = False
-    assert np.all(kernel.samples[:, outside] == 0)
-    assert np.all(kernel.samples[:, 0, :] == 0)
-    assert np.all(kernel.samples[:, :, 0] == 0)
+    assert np.all(samples[:, outside] == 0)
+    assert np.all(samples[:, 0, :] == 0)
+    assert np.all(samples[:, :, 0] == 0)
 
 
 def test_kernel_decays_at_reservoir_rate():
-    params, gen, projs, grid = kernel_setup("fig4", 10.0, 2001)
-    kernel = build_kernel(gen, projs, grid)
-    peak = np.abs(kernel.samples[0]).max()
-    envelope = peak * np.exp(-0.5 * params.gamma_eff * kernel.lags)
-    maxima = np.abs(kernel.samples).max(axis=(1, 2))
+    params, gen, grid = kernel_setup("fig4", 10.0, 2001)
+    samples = build_kernel(gen, grid.step).samples(grid.num_points)
+    peak = np.abs(samples[0]).max()
+    envelope = peak * np.exp(-0.5 * params.gamma_eff * grid.points)
+    maxima = np.abs(samples).max(axis=(1, 2))
     assert np.all(maxima <= envelope * (1.0 + 1e-9))
 
 
 def test_local_term():
-    _, gen, projs, _ = kernel_setup("fig3")
-    P, Q = projs
-    assert np.array_equal(local_term(gen, projs), P @ gen @ P)
+    _, gen, grid = kernel_setup("fig3")
+    assert np.array_equal(build_kernel(gen, grid.step).local, gen[np.ix_(_P, _P)])
 
 
 def test_stationary_background():
-    params, gen, projs, grid = kernel_setup("fig3", 2.0, 2001)
-    kernel = build_kernel(gen, projs, grid)
+    params, gen, grid = kernel_setup("fig3", 2.0, 2001)
     init = np.zeros(9, dtype=complex)
     init[0] = 1.0
-    sol = solve_nz(kernel, local_term(gen, projs), init, grid)
+    sol = solve_nz(gen, init, grid)
     assert np.abs(sol - init).max() < 1e-14
 
 
 def test_matches_projected_direct_solution():
-    params, gen, projs, grid = kernel_setup("fig2", 2.0, 2001)
-    kernel = build_kernel(gen, projs, grid)
-    loc = local_term(gen, projs)
+    params, gen, grid = kernel_setup("fig2", 2.0, 2001)
     for term in (InitialTerm.EE, InitialTerm.EG):
         init = initial_coefficients(term, params.nbar)
         direct = slow_solution(gen, init, grid.points)
-        sol = solve_nz(kernel, loc, init, grid)
+        sol = solve_nz(gen, init, grid)
         assert np.abs(sol - direct).max() < 2e-4
 
 
 def test_step_halving_quarters_error():
-    params, gen, projs, _ = kernel_setup("fig4")
-    loc = local_term(gen, projs)
+    params, gen, _ = kernel_setup("fig4")
     init = initial_coefficients(InitialTerm.EG, params.nbar)
     errs = []
     for num_points in (501, 1001):
         grid = TimeGrid(0.0, 2.0, num_points)
-        kernel = build_kernel(gen, projs, grid)
         direct = slow_solution(gen, init, grid.points)
-        sol = solve_nz(kernel, loc, init, grid)
+        sol = solve_nz(gen, init, grid)
         errs.append(np.abs(sol - direct).max())
     assert 3.5 < errs[0] / errs[1] < 4.5
 
 
 def test_solver_input_validation():
-    params, gen, projs, grid = kernel_setup("fig2", 1.0, 101)
-    kernel = build_kernel(gen, projs, grid)
-    loc = local_term(gen, projs)
+    params, gen, grid = kernel_setup("fig2", 1.0, 101)
     good = initial_coefficients(InitialTerm.EE, params.nbar)
 
     bad = good.copy()
     bad[2] = 0.1  # support outside the slow subspace
     with pytest.raises(ValueError):
-        solve_nz(kernel, loc, bad, grid)
-
+        solve_nz(gen, bad, grid)
     with pytest.raises(ValueError):
-        solve_nz(kernel, loc, good, TimeGrid(0.0, 1.0, 51))  # step mismatch
-    with pytest.raises(ValueError):
-        solve_nz(kernel, loc, good, TimeGrid(0.0, 2.0, 201))  # not covered
-    with pytest.raises(ValueError):
-        solve_nz(kernel, loc, good[:4], grid)
-    with pytest.raises(ValueError):
-        build_kernel(gen, projs, TimeGrid(0.5, 1.0, 11))  # lags must start at 0
+        solve_nz(gen, good[:4], grid)
+    with pytest.raises(ValueError, match="t=0"):  # the history starts at t=0
+        solve_nz(gen, good, TimeGrid(0.5, 1.0, 11))
 
 
-def test_nonuniform_lags_rejected():
-    lags = np.array([0.0, 0.1, 0.3])
-    left, step_map, right = np.zeros((4, 5)), np.eye(5), np.zeros((5, 4))
-    with pytest.raises(ValueError):
-        MemoryKernelSamples(lags=lags, left=left, step_map=step_map, right=right)
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+def test_kernel_rejects_bad_step(step):
+    _, gen, _ = kernel_setup("fig2")
+    with pytest.raises(ValueError, match="finite and positive"):
+        build_kernel(gen, step)
+
+
+def test_kernel_block_shapes_rejected():
+    blocks = dict(local=np.zeros((4, 4)), left=np.zeros((4, 5)), step_map=np.eye(5),
+                  right=np.zeros((5, 4)))
+    MemoryKernelSamples(step=0.1, **blocks)
     with pytest.raises(ValueError):  # factor shapes that do not chain
-        MemoryKernelSamples(
-            lags=np.array([0.0, 0.1]), left=left, step_map=step_map, right=right.T
-        )
+        MemoryKernelSamples(step=0.1, **{**blocks, "right": blocks["right"].T})
+    with pytest.raises(ValueError):  # a local block off the slow subspace
+        MemoryKernelSamples(step=0.1, **{**blocks, "local": np.zeros((5, 5))})
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_kernel_samples_match_per_lag_expm(case):
     gen = build_generator(CASES[case], 1)
     grid = TimeGrid(0.0, 2.0, 401)
-    kernel = build_kernel(gen, projector_pair(), grid)
+    samples = build_kernel(gen, grid.step).samples(grid.num_points)
     ref = per_lag_kernel(gen, grid.points)
-    assert np.abs(kernel.samples[np.ix_(range(grid.num_points), _P, _P)] - ref).max() < 1e-12
+    assert np.abs(samples[np.ix_(range(grid.num_points), _P, _P)] - ref).max() < 1e-12
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_recurrence_matches_quadratic_reference(case):
     params = CASES[case]
     gen = build_generator(params, 1)
-    projs = projector_pair()
     grid = TimeGrid(0.0, 2.0, 401)
-    kernel = build_kernel(gen, projs, grid)
-    loc = local_term(gen, projs)
     for term in InitialTerm:
         init = initial_coefficients(term, params.nbar)
-        sol = solve_nz(kernel, loc, init, grid)
+        sol = solve_nz(gen, init, grid)
         assert np.abs(sol - reference_solve(gen, init, grid)).max() < 1e-12
 
 
@@ -221,34 +209,29 @@ def test_recurrence_matches_quadratic_reference(case):
 def test_first_steps_match_quadratic_reference(num_points):
     # step 0 is taken on its own (half trapezoid weight, no history) and
     # step 1 is the first through the fused step map
-    params, gen, projs, grid = kernel_setup("fig6", 0.2, num_points)
-    kernel = build_kernel(gen, projs, grid)
+    params, gen, grid = kernel_setup("fig6", 0.2, num_points)
     terms = (InitialTerm.EE, InitialTerm.EG)
     inits = np.stack([initial_coefficients(term, params.nbar) for term in terms])
-    sol = solve_nz(kernel, local_term(gen, projs), inits, grid)
+    sol = solve_nz(gen, inits, grid)
     assert sol.shape == (num_points, 2, 9)
     for j, init in enumerate(inits):
         assert np.abs(sol[:, j] - reference_solve(gen, init, grid)).max() < 1e-14
 
 
 def test_stack_equals_single_calls():
-    params, gen, projs, grid = kernel_setup("fig6", 2.0, 401)
-    kernel = build_kernel(gen, projs, grid)
-    loc = local_term(gen, projs)
+    params, gen, grid = kernel_setup("fig6", 2.0, 401)
     inits = np.stack([initial_coefficients(term, params.nbar) for term in InitialTerm])
-    stacked = solve_nz(kernel, loc, inits, grid)
+    stacked = solve_nz(gen, inits, grid)
     assert stacked.shape == (grid.num_points, len(inits), 9)
     for j, init in enumerate(inits):
-        assert np.abs(stacked[:, j] - solve_nz(kernel, loc, init, grid)).max() < 1e-14
+        assert np.abs(stacked[:, j] - solve_nz(gen, init, grid)).max() < 1e-14
 
 
 def test_stack_with_off_subspace_row_rejected():
-    params, gen, projs, grid = kernel_setup("fig2", 1.0, 101)
-    kernel = build_kernel(gen, projs, grid)
-    loc = local_term(gen, projs)
+    params, gen, grid = kernel_setup("fig2", 1.0, 101)
     inits = np.stack([initial_coefficients(term, params.nbar) for term in InitialTerm])
     for j in range(len(inits)):
         bad = inits.copy()
         bad[j, 6] = 1e-3  # support outside the slow subspace in one row only
         with pytest.raises(ValueError):
-            solve_nz(kernel, loc, bad, grid)
+            solve_nz(gen, bad, grid)
