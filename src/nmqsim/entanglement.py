@@ -55,20 +55,16 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
     return _SIGMA_YY @ np.conj(rho) @ _SIGMA_YY
 
 
-def _psd_sqrt_batch(mats: np.ndarray) -> np.ndarray:
-    # eigenvalues may be tiny-negative from floating error; clamp before sqrt
-    w, v = np.linalg.eigh(mats)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return np.einsum("...ij,...j,...kj->...ik", v, w, np.conj(v))
-
-
 def concurrence_general_series(rhos: np.ndarray) -> np.ndarray:
-    """Eigenvalue-route concurrence for a batch of 4x4 density matrices.
+    """Eigenvalue-route concurrence for a stack of 4x4 density matrices.
 
     Computes the lambda_i as singular values of sqrt(rho~) sqrt(rho), which
     equal the square roots of the eigenvalues of rho rho~ but do not suffer
     the square-root-of-epsilon noise amplification of diagonalizing the
-    non-Hermitian product directly.
+    non-Hermitian product directly.  sigma_y (x) sigma_y is real, symmetric
+    and its own inverse, so sqrt(rho~) is the spin flip of sqrt(rho) and one
+    eigendecomposition per state gives both roots and the positivity check.
+    Any leading batch shape is accepted; a single matrix gives shape (1,).
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim == 2:
@@ -80,12 +76,13 @@ def concurrence_general_series(rhos: np.ndarray) -> np.ndarray:
     if tr > INPUT_TOL:
         raise ValueError(f"input trace differs from 1 by {tr:.3e}")
     sym = 0.5 * (rhos + np.conj(np.swapaxes(rhos, -2, -1)))
-    weig = np.linalg.eigvalsh(sym)
-    if weig.min() < -INPUT_TOL:
-        raise ValueError(f"input not positive semidefinite: min eigenvalue {weig.min():.3e}")
-    prod = _psd_sqrt_batch(spin_flip(sym)) @ _psd_sqrt_batch(sym)
-    lam = np.linalg.svd(prod, compute_uv=False)  # descending
-    c = lam[:, 0] - lam[:, 1:].sum(axis=1)
+    w, v = np.linalg.eigh(sym)
+    if w.min() < -INPUT_TOL:
+        raise ValueError(f"input not positive semidefinite: min eigenvalue {w.min():.3e}")
+    # eigenvalues may be tiny-negative from floating error; clamp before sqrt
+    root = np.einsum("...ij,...j,...kj->...ik", v, np.sqrt(np.clip(w, 0.0, None)), np.conj(v))
+    lam = np.linalg.svd(spin_flip(root) @ root, compute_uv=False)  # descending
+    c = lam[..., 0] - lam[..., 1:].sum(axis=-1)
     return np.clip(c, 0.0, 1.0)
 
 

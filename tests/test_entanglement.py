@@ -120,9 +120,57 @@ def test_series_route_is_batched_scalar_route():
         assert abs(series[i] - concurrence_general_series(rhos[i : i + 1])[0]) < 1e-13
 
 
+def random_states(rng, count):
+    """Full-rank two-qubit states m m^dagger / tr, m with complex Gaussian entries."""
+    m = rng.normal(size=(count, 4, 4)) + 1j * rng.normal(size=(count, 4, 4))
+    rho = m @ np.conj(np.swapaxes(m, -2, -1))
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def test_stacked_batch_axes_match_flattened_call():
+    rhos = random_states(np.random.default_rng(17), 6).reshape(2, 3, 4, 4)
+    stacked = concurrence_general_series(rhos)
+    assert stacked.shape == (2, 3)
+    flat = concurrence_general_series(rhos.reshape(6, 4, 4))
+    assert np.abs(stacked - flat.reshape(2, 3)).max() < 1e-14
+
+
+def test_werner_states():
+    # p |Phi+><Phi+| + (1 - p) I/4 has C = max(0, (3p - 1)/2); a local
+    # unitary keeps C and removes the X pattern the analytic route needs
+    rng = np.random.default_rng(29)
+    u1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    u = np.kron(u1, u2)
+    p = np.linspace(0.0, 1.0, 41)
+    werner = p[:, None, None] * BELL + (1.0 - p)[:, None, None] * np.eye(4) / 4.0
+    rhos = u @ werner @ u.conj().T
+    assert np.abs(rhos[-1][[0, 0, 1, 2], [1, 2, 3, 3]]).min() > 1e-3
+    expected = np.maximum(0.0, (3.0 * p - 1.0) / 2.0)
+    assert np.abs(concurrence_general_series(rhos) - expected).max() < 1e-12
+
+
+def three_decomposition_route(rhos):
+    """Reference: eigvalsh for positivity, then one eigh per square root."""
+    def psd_sqrt(mats):
+        w, v = np.linalg.eigh(mats)
+        return np.einsum("...ij,...j,...kj->...ik", v, np.sqrt(np.clip(w, 0.0, None)), np.conj(v))
+
+    assert np.linalg.eigvalsh(rhos).min() > -1e-6
+    lam = np.linalg.svd(psd_sqrt(spin_flip(rhos)) @ psd_sqrt(rhos), compute_uv=False)
+    return np.clip(lam[:, 0] - lam[:, 1:].sum(axis=1), 0.0, 1.0)
+
+
+def test_random_states_match_three_decomposition_route():
+    rhos = random_states(np.random.default_rng(23), 500)
+    rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, -2, -1)))
+    reference = three_decomposition_route(rhos)
+    assert np.abs(concurrence_general_series(rhos) - reference).max() < 1e-13
+
+
 def test_unphysical_input_rejected():
     rho = np.diag([0.7, 0.4, 0.0, -0.1]).astype(complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive semidefinite"):
         concurrence_general_series(rho[None])[0]
     with pytest.raises(ValueError):
         concurrence_general_series(np.eye(4, dtype=complex)[None])  # trace 4
