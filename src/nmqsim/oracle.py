@@ -17,6 +17,8 @@ independent qubit + auxiliary-atom pairs, each living in a 4-dimensional
 Hilbert space.
 """
 
+import gc
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -146,6 +148,10 @@ def evolve_full(params: ModelParams, rho0: np.ndarray, grid: TimeGrid) -> np.nda
         rtol=RTOL,
         atol=ATOL,
     )
+    # the solver refers to itself through its right-hand-side closure, so its
+    # (16, m*m) stage array (1.2 MB at m = 68) would stay resident until the
+    # next full collection; a young-generation collection (~20 us) frees it
+    gc.collect(1)
     if not sol.success:
         raise RuntimeError(f"full-space integration of one grid step failed: {sol.message}")
     # rows z_i = (vec rho(t_i))[reach], so z_{i+1} = z_i Phi^T

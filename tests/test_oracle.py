@@ -4,10 +4,12 @@ The oracle never touches the coefficient-space solver, so agreement
 between the two is evidence for both.
 """
 
+import gc
+
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 import nmqsim.oracle
 from nmqsim.model import ModelParams, build_generator, thermal_state
@@ -175,6 +177,20 @@ def test_evolve_full_long_steps_from_later_start(name):
     rho0 = full_initial_state(bell_state(), params.nbar)
     rhos = evolve_full(params, rho0, grid)
     assert np.abs(rhos - expm_reference(params, rho0, grid)).max() <= 1e-9
+
+
+def test_evolve_full_leaves_no_solver_behind():
+    # DOP853 holds itself through a closure; left to the full collection,
+    # each call's (16, m*m) stage array stays resident
+    def solvers():
+        return sum(isinstance(obj, DOP853) for obj in gc.get_objects())
+
+    params = preset_params("fig6")
+    rho0 = full_initial_state(bell_state(), params.nbar)
+    before = solvers()
+    for _ in range(3):
+        evolve_full(params, rho0, TimeGrid(0.0, 1.0, 11))
+    assert solvers() == before
 
 
 def test_partial_trace_examples():
