@@ -187,6 +187,7 @@ def test_evolve_full_leaves_no_solver_behind():
 
     params = preset_params("fig6")
     rho0 = full_initial_state(bell_state(), params.nbar)
+    gc.collect()
     before = solvers()
     for _ in range(3):
         evolve_full(params, rho0, TimeGrid(0.0, 1.0, 11))
