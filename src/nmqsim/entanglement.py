@@ -91,7 +91,7 @@ def precursor_from_components(b, c, f) -> np.ndarray:
 
     The analytic concurrence of an X state is its positive part.
     """
-    bc = np.clip(b, 0.0, None) * np.clip(c, 0.0, None)
+    bc = np.maximum(b, 0.0) * np.maximum(c, 0.0)
     return 2.0 * (np.abs(f) - np.sqrt(bc))
 
 
@@ -153,10 +153,8 @@ class EntanglementSeries:
     precursor_fn, when provided, evaluates the same precursor at arbitrary
     times; event extraction uses it to refine crossing times by Brent's
     method (xtol 1e-10).  The one :func:`~nmqsim.pipeline.simulate` builds
-    steps the responses off the nearest grid time with a Taylor series whose
-    truncation error is at most 2^-56 of the grid state, computing the
-    exponentials once per cell; where ||X dt||_1 > 1 for a generator block X
-    it falls back to a single-time evaluation of the exponentials.
+    evaluates the same closed-form responses as the grid at the requested
+    time, with their constants computed once per run.
     """
 
     grid: TimeGrid
@@ -227,7 +225,7 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
     _scan).  Crossing times are refined to 1e-10 by Brent's method
     (brentq) on series.precursor_fn when available, otherwise by linear
     interpolation of the samples; the evaluator that simulate() provides
-    computes its exponentials once per bracket (see EntanglementSeries).
+    is the grid's closed form at any time (see EntanglementSeries).
     brentq raises ValueError if the precursor takes the same sign at both
     ends of a bracket.  A death interval shorter than two grid steps
     triggers one coarse-grid warning per call, and the affected events

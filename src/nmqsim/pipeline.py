@@ -1,12 +1,11 @@
 """End-to-end simulation: responses, X state, entanglement.
 
 This is the path the CLI drives.  Each qubit enters only through its two
-scalar responses s_k and u_k (see :mod:`nmqsim.propagator`), which give the
-X-state components at any time, not just on the sample grid.  The
-continuous-time precursor used to refine event times takes the responses
-from a Taylor step off the nearest grid time
-(:func:`~nmqsim.propagator.cell_responses`) and builds the X state with the
-same formula as the grid, :func:`~nmqsim.propagator.x_state_from_responses`.
+scalar responses s_k and u_k (see :mod:`nmqsim.propagator`), closed forms
+that give the X-state components at any time, not just on the sample grid.
+The continuous-time precursor used to refine event times evaluates the same
+closed forms at its own time and builds the X state with the same formula
+as the grid, :func:`~nmqsim.propagator.x_state_from_responses`.
 """
 
 from dataclasses import dataclass
@@ -19,7 +18,12 @@ from .entanglement import (
     precursor_from_components,
 )
 from .model import ModelParams, build_generator
-from .propagator import TimeGrid, cell_responses, evolve_x_state, x_state_from_responses
+from .propagator import (
+    TimeGrid,
+    _response_evaluator,
+    evolve_x_state,
+    x_state_from_responses,
+)
 
 __all__ = ["HEALTH_TOL", "RunHealthError", "SimulationResult", "simulate"]
 
@@ -77,8 +81,9 @@ def simulate(params: ModelParams, grid: TimeGrid) -> SimulationResult:
     def precursor_at(t: float) -> float:
         nonlocal responses_at
         if responses_at is None:
-            responses_at = cell_responses(generators, grid)
-        _, bt, ct, _, ft = x_state_from_responses(*responses_at(t), params.nbar)
+            responses_at = _response_evaluator(generators)
+        (s1, s2), (u1, u2) = (x.ravel().tolist() for x in responses_at(t))
+        _, bt, ct, _, ft = x_state_from_responses(s1, u1, s2, u2, params.nbar)
         return float(precursor_from_components(bt, ct, ft))
 
     prec = precursor_from_components(b, c, f)

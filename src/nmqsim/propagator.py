@@ -5,8 +5,8 @@ evolve independently and qubit k enters the reduced two-qubit state only
 through two scalar functions of time, read off its 9x9 generator L_k
 (see :mod:`nmqsim.model`):
 
-    s_k(t) = Re [exp(B_k t)]_00,   B_k = L_k[1:5, 1:5]   population response
-    u_k(t) =    [exp(C_k t)]_00,   C_k = L_k[5:7, 5:7]   coherence response
+    s_k(t) = [exp(B_k t)]_00,   B_k = L_k[1:5, 1:5]   population response
+    u_k(t) = [exp(C_k t)]_00,   C_k = L_k[5:7, 5:7]   coherence response
 
 With w = 2 nbar + 1, qubit k's excited population is
 e_k = nbar/w + s_k (nbar + 1)/w if it starts excited and
@@ -17,18 +17,39 @@ state (|00> + |11>)/sqrt(2) evolves into the X state
     c = ((1-e1) e2 + (1-g1) g2) / 2      d = ((1-e1)(1-e2) + (1-g1)(1-g2)) / 2
     f = u1 u2 / 2
 
-Both exponentials stay exact where a block is defective (for zero
-detuning, at alpha = gamma_eff / 2): u has a closed form that is
-continuous through the degeneracy, and s uses scaling-and-squaring
-``expm`` rather than an eigendecomposition.  See Moler and Van Loan,
-"Nineteen dubious ways to compute the exponential of a matrix,
-twenty-five years later", SIAM Review 45 (2003).
+Both responses are closed forms, elementwise in t, read from the block
+entries; no matrix exponential is taken.
 
-Between grid times, :func:`cell_responses` steps both responses off the
-nearest grid time t_i with a truncated Taylor series of the same
-exponentials (Moler and Van Loan's method 1), so refining an event time
-costs a few scalar multiply-adds per evaluation instead of new
-exponentials.
+s: write gamma = gamma_eff and X = B + gamma I.  X has the even
+characteristic polynomial mu^4 - P mu^2 - Q, so X^2 satisfies
+x^2 - P x - Q = 0, whose roots x+ >= 0 >= x- are real.  Splitting
+exp(X t) = cosh(X t) + sinh(X t) and interpolating on {x+, x-}
+(Cayley-Hamilton) gives
+
+    s(t) = exp(-gamma t) [g(x-) + gamma h(x-) + ((X^2)_00 - x-) Dg
+                          + ((X^3)_00 - gamma x-) Dh],
+
+with g(x) = cosh(t sqrt(x)), h(x) = sinh(t sqrt(x)) / sqrt(x) (cos and
+sin / sqrt(-x) for x < 0) and Dg, Dh their divided differences over
+{x+, x-}.  The terms split into a slow part exp(-kappa t), where
+kappa = gamma - sqrt(x+) is formed without cancellation, and a fast part
+exp(-gamma t), so nothing overflows at large gamma t.  g and h are entire
+in x: where t^2 (x+ - x-) < 1, which holds around the exceptional point
+x+ = x- = 0 (zero detuning at alpha = gamma_eff / 2), the divided
+differences are summed as series instead of difference quotients
+(McCurdy, Ng and Parlett, "Accurate computation of divided differences
+of the exponential function", Math. Comp. 43 (1984) 501-528).  The
+parameters enter s only through the products of the block's entries;
+nbar enters only through gamma_eff.
+
+u: exp(C t)_00 = exp(m t) [cosh(z) + h t sinh(z) / z] of the 2x2 block,
+with m = tr C / 2, h = (C_00 - C_11) / 2, sigma^2 = h^2 + C_01 C_10 and
+z = sigma t; it is continuous through sigma = 0, where C is defective.
+Its slow eigenvalue m + sigma cancels under strong damping, so it is
+taken as i Im m + det(C - i Im m) / (Re m - sigma), the product of the
+shifted roots over the one formed without cancellation (Higham,
+"Accuracy and Stability of Numerical Algorithms", 2nd ed., SIAM 2002,
+section 1.8); the shift keeps the qubit frequency out of that quotient.
 """
 
 from __future__ import annotations
@@ -37,21 +58,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .model import Q_INDICES
+from .model import Q_INDICES, ModelParams, build_generator
 
 __all__ = [
     "TimeGrid",
-    "cell_responses",
     "evolve_x_state",
     "responses",
     "slow_solution",
     "x_state_from_responses",
 ]
 
-#: Truncation bound of the in-cell Taylor step, relative to the anchor column.
-TAYLOR_TOL = 2.0**-56
+# entries that build_generator can make nonzero, taken at a point where all are
+_PATTERN = build_generator(ModelParams.from_detunings(
+    omega1=3.0, delta1=1.0, delta2=1.0, alpha1=1.0, alpha2=1.0, gamma=1.0, nbar=1.0,
+), 1) != 0
+
+# 1 / n! for the divided-difference series; with t^2 (x+ - x-) < 1 the terms
+# of Dg and Dh beyond k = 10 fall below 2^-60 of the sums
+_INV_FACTORIAL = [1.0 / math.factorial(n) for n in range(22)]
 
 
 @dataclass(frozen=True)
@@ -84,78 +109,121 @@ class TimeGrid:
         return (self.t_end - self.t_start) / (self.num_points - 1)
 
 
-def _population_response(block: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
-    """Re [exp(B t)]_00 at t_k = t_0 + k dt.
+def _response_evaluator(generators):
+    """Evaluator t -> (s, u) of the given pairs, each of shape (pairs,) + shape(t).
 
-    Column 0 of exp(B t_k) is E^k v_0 with E = expm(B dt) and
-    v_0 = expm(B t_0)[:, 0].  Stored as rows, V[m:2m] = V[:m] (E^m)^T, so
-    the whole grid takes log2(n) batched products.  Each E^m is its own
-    ``expm(B m dt)``: squaring E instead compounds roundoff to 8e-15 on
-    the 2001-point preset grids, while this keeps every sample within a
-    few ulps of a high-precision exponential.  The products use ``einsum``,
-    not ``@``: BLAS runs tall (k, 4) @ (4, 4) products on helper threads,
-    which then spin and slow every later small ``expm`` many times over.
+    The constants of both closed forms are computed once per pair, so each
+    call is a fixed number of elementwise operations.  Times are not
+    checked here: they must be finite and >= 0, as :func:`responses` checks.
     """
-    v = np.empty((times.size, 4), dtype=complex)
-    v[0] = scipy.linalg.expm(block * times[0])[:, 0]
-    m = 1
-    while m < times.size:
-        k = min(m, times.size - m)
-        v[m : m + k] = np.einsum("ij,kj->ik", v[:k], scipy.linalg.expm(block * (m * dt)))
-        m += k
-    return v[:, 0].real
+    gens = np.asarray(generators, dtype=complex)
+    if gens.ndim != 3 or gens.shape[1:] != (9, 9):
+        raise ValueError(f"each generator must be 9x9, got shape {gens.shape[1:]}")
+    if np.any(gens[:, ~_PATTERN]):
+        raise ValueError("generator has a nonzero entry where build_generator has none")
+    gens = gens[:, :, :, None]  # constants of shape (pairs, 1) broadcast over t
 
+    # s, from products of the population block's entries b_ij = L[i+1, j+1]
+    gamma = -gens[:, 2, 2].real
+    b01b10, b12b21, b13b31 = (
+        (gens[:, i, j] * gens[:, j, i]).real for i, j in ((1, 2), (2, 3), (2, 4))
+    )
+    p = gamma * gamma + b01b10 + b12b21 + b13b31
+    q = -gamma * gamma * b12b21
+    r = np.sqrt(p * p + 4.0 * q)
+    big = 0.5 * (p + np.copysign(r, p))  # the root of larger magnitude
+    other = -q / np.where(big == 0.0, 1.0, big)
+    x_plus, x_minus = np.where(p >= 0.0, big, other), np.where(p >= 0.0, other, big)
+    root_plus, root_minus = np.sqrt(x_plus), np.sqrt(-x_minus)
+    # kappa = gamma - sqrt(x+) = (gamma^2 - x+) / (gamma + sqrt(x+)), where
+    # gamma^2 - x+ = -2 gamma^2 (b01 b10 + b13 b31) / (2 gamma^2 - P + r)
+    kappa_den = (2.0 * gamma * gamma - p + r) * (gamma + root_plus)
+    kappa = -2.0 * gamma * gamma * (b01b10 + b13b31) / np.where(kappa_den == 0.0, 1.0, kappa_den)
+    coef_g = gamma * gamma + b01b10 - x_minus  # (X^2)_00 - x-
+    coef_h = gamma * (gamma * gamma + 2.0 * b01b10 - x_minus)  # (X^3)_00 - gamma x-
+    # Dg and Dh are difference quotients over r where t^2 r >= 1, i.e. t >= 1 / sqrt(r);
+    # there s = e^{-kappa t} [cg/r (1 + em/2) + ch/r sinh+]
+    #         + e^{-gamma t} [(1 - cg/r) cos(t root-) + (gamma - ch/r) sin-]
+    inv_r = np.where(r > 0.0, 1.0 / np.where(r > 0.0, r, 1.0), 0.0)
+    quotient_from = np.where(r > 0.0, np.sqrt(inv_r), np.inf)
+    slow_g, slow_h = coef_g * inv_r, coef_h * inv_r
+    fast_g, fast_h = 1.0 - slow_g, gamma - slow_h
+    plus_zero, minus_zero = root_plus == 0.0, root_minus == 0.0
+    two_root_plus, half_slow_g = 2.0 * root_plus, 0.5 * slow_g
+    neg_half_inv_plus = -0.5 / np.where(plus_zero, 1.0, root_plus)
+    inv_minus = 1.0 / np.where(minus_zero, 1.0, root_minus)
 
-def _coherence_column(block: np.ndarray, times: np.ndarray):
-    """Column 0 of exp(C t) of a 2x2 block in closed form, as entries 00 and 10.
-
-    Each entry has the shape of ``times``, or (P, len(times)) for a
-    (P, 2, 2) stack of blocks.
-
-    exp(C t) = exp(m t) [cosh(z) I + t sinh(z)/z (C - m I)] with m = tr C / 2,
-    sigma^2 = h^2 + C_01 C_10, h = (C_00 - C_11) / 2 and z = sigma t; it is
-    continuous through sigma = 0, where C is defective.  Taking Re sigma >= 0
-    and factoring out exp(z) keeps every factor bounded for large t:
-
-        exp(C t)_00 = exp((m + sigma) t) [(1 + exp(-2z)) / 2 + h t q(z)],
-        exp(C t)_10 = exp((m + sigma) t) C_10 t q(z),
-        q(z) = exp(-z) sinh(z) / z = (1 - exp(-2z)) / (2z),
-
-    with a Taylor series for sinh(z)/z where |z| is small.
-    """
-    (c00, c01), (c10, c11) = np.moveaxis(block, (-2, -1), (0, 1))[..., None]
+    # u, from the coherence block shifted by its common rotation i Im m
+    (c00, c01), (c10, c11) = gens[:, 5:7, 5:7].transpose(1, 2, 0, 3)
     mean = 0.5 * (c00 + c11)
     half = 0.5 * (c00 - c11)
     sigma = np.sqrt(half * half + c01 * c10)  # principal root: Re sigma >= 0
-    z = sigma * times
-    small = np.abs(z) < 0.1
-    z2 = z * z
-    sinhc = 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0 * (1.0 + z2 / 72.0)))
-    decay = np.exp(-2.0 * z)
-    q = np.where(small, np.exp(-z) * sinhc, (1.0 - decay) / (2.0 * np.where(small, 1.0, z)))
-    growth = np.exp((mean + sigma) * times)
-    return growth * (0.5 * (1.0 + decay) + half * times * q), growth * c10 * times * q
+    slow_minus = mean.real - sigma
+    shifted_det = (c00.real + 1j * half.imag) * (c11.real - 1j * half.imag) - c01 * c10
+    lam_plus = 1j * mean.imag + shifted_det / np.where(slow_minus == 0.0, 1.0, slow_minus)
+    # exp(C t)_00 = exp(lam+ t) [1 + (e^{-2z} - 1) (sigma - h) / (2 sigma)], z = sigma t,
+    # and exp(lam+ t) (1 + h t) where sigma = 0
+    sigma_zero = sigma == 0.0
+    coh_em = np.where(sigma_zero, 0.0, 0.5 - 0.5 * half / np.where(sigma_zero, 1.0, sigma))
+    coh_lin = np.where(sigma_zero, half, 0.0)
+    two_sigma = 2.0 * sigma
+
+    def at(times):
+        t = np.asarray(times, dtype=float)
+        neg_t = -t
+        # with slow = e^{-kappa t} and em = e^{-2 t root+} - 1, e^{-gamma t} cosh(t root+)
+        # = slow (1 + em / 2) and e^{-gamma t} sinh(t root+) / root+ = slow sinh_plus;
+        # cos_minus and sin_minus are cos(t root-) and sin(t root-) / root-
+        em = np.expm1(two_root_plus * neg_t)
+        slow = np.exp(kappa * neg_t)
+        sinh_plus = np.where(plus_zero, t, em * neg_half_inv_plus)
+        fast = np.exp(gamma * neg_t)
+        z = root_minus * t
+        cos_minus = np.cos(z)
+        sin_minus = np.where(minus_zero, t, np.sin(z) * inv_minus)
+        s = (slow * (slow_g + half_slow_g * em + slow_h * sinh_plus)
+             + fast * (fast_g * cos_minus + fast_h * sin_minus))
+        near = t < quotient_from
+        if near.any():
+            # D_k = sum_j u^j v^(k-1-j) is the divided difference of x^k over {u, v}
+            u, v = t * t * x_plus, t * t * x_minus
+            term, v_pow = np.ones_like(u), np.ones_like(u)
+            sum_g = sum_h = 0.0
+            for k in range(1, 11):
+                sum_g = sum_g + term * _INV_FACTORIAL[2 * k]
+                sum_h = sum_h + term * _INV_FACTORIAL[2 * k + 1]
+                v_pow = v_pow * v
+                term = u * term + v_pow
+            series = cos_minus + gamma * sin_minus + t * t * (coef_g * sum_g + coef_h * t * sum_h)
+            s = np.where(near, fast * series, s)
+
+        em = np.expm1(two_sigma * neg_t)
+        u = np.exp(lam_plus * t) * (1.0 + coh_em * em + coh_lin * t)
+        return s, u
+
+    return at
+
+
+def _checked_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise ValueError("times must be a non-empty 1-d array of finite values")
+    # the slow/fast split is bounded only forward in time
+    if np.any(times < 0.0):
+        raise ValueError("times must be >= 0")
+    return times
 
 
 def responses(generator, times) -> tuple[np.ndarray, np.ndarray]:
     """Population and coherence responses (s, u) of one pair at each time.
 
-    ``times`` must be t_0 + k dt with dt > 0 (a single time is allowed).
+    ``times`` is a non-empty 1-d array of finite times >= 0, in any order.
+    The generator must have build_generator's zero pattern; the closed form
+    equals exp(B t)_00 for blocks with b01 b10 = b13 b31 and diagonal
+    (0, -gamma, -gamma, -2 gamma), as every build_generator output has.
     """
-    generator = np.asarray(generator, dtype=complex)
-    if generator.shape != (9, 9):
-        raise ValueError(f"generator must be 9x9, got shape {generator.shape}")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
-        raise ValueError("times must be a non-empty 1-d array of finite values")
-    dt = (times[-1] - times[0]) / max(times.size - 1, 1)
-    # linspace places every sample within a few ulps of t_0 + k dt
-    offgrid = np.abs(times - times[0] - dt * np.arange(times.size)).max()
-    if times.size > 1 and (dt <= 0.0 or offgrid > 1e-12 * np.abs(times).max()):
-        raise ValueError("times must be increasing and uniformly spaced")
-    s = _population_response(generator[1:5, 1:5], times, dt)
-    u = _coherence_column(generator[5:7, 5:7], times)[0]
-    return s, u
+    s, u = _response_evaluator([generator])(_checked_times(times))
+    return s[0], u[0]
 
 
 def x_state_from_responses(s1, u1, s2, u2, nbar: float):
@@ -177,97 +245,11 @@ def x_state_from_responses(s1, u1, s2, u2, nbar: float):
 def evolve_x_state(generators, nbar: float, times):
     """X-state components (a, b, c, d, f) of the evolved Bell state at each time.
 
-    ``generators`` are the 9x9 generators of pairs 1 and 2; ``times`` must
-    be uniformly spaced (a single time is allowed).
+    ``generators`` are the 9x9 generators of pairs 1 and 2; ``times`` are
+    as for :func:`responses`.
     """
-    (s1, u1), (s2, u2) = (responses(generator, times) for generator in generators)
+    (s1, s2), (u1, u2) = _response_evaluator(generators)(_checked_times(times))
     return x_state_from_responses(s1, u1, s2, u2, nbar)
-
-
-def taylor_degree(norm: float) -> int:
-    """Smallest K with norm^(K+1) / (K+1)! * e^norm <= TAYLOR_TOL.
-
-    With norm >= ||X h||_1 this bounds, relative to ||v||_1, the truncation
-    error of sum_{k <= K} (X tau)^k / k! v for every |tau| <= h.
-    """
-    degree, term = 0, norm * math.exp(norm)
-    while term > TAYLOR_TOL:
-        degree += 1
-        term *= norm / (degree + 1)
-    return degree
-
-
-def _taylor_rows(blocks: np.ndarray, degree: int) -> np.ndarray:
-    """Row 0 of X^k / k! for k = 0..degree, for each X of a (P, n, n) stack."""
-    rows = np.zeros((blocks.shape[0], degree + 1, blocks.shape[-1]), dtype=complex)
-    rows[:, 0, 0] = 1.0
-    for k in range(1, degree + 1):
-        rows[:, k] = np.einsum("pi,pij->pj", rows[:, k - 1], blocks) / k
-    return rows
-
-
-def _horner(coeffs, x):
-    """sum_k coeffs[k] x^k for coefficients given highest degree first."""
-    acc = 0.0
-    for coeff in coeffs:
-        acc = acc * x + coeff
-    return acc
-
-
-def cell_responses(generators, grid: TimeGrid):
-    """Evaluator t -> (s1, u1, s2, u2) of pairs 1 and 2 at any time.
-
-    The first call at a time t takes the grid time t_i = t_start + i dt
-    nearest to t, computes column 0 of exp(X t_i) once for each block X
-    (B and C of both pairs) and caches the coefficients
-    c_k = (row 0 of (X dt)^k / k!) . column, so that
-
-        s(t_i + tau) = Re sum_k c_k (tau / dt)^k,   u(t_i + tau) likewise, not Re.
-
-    Later calls within dt of t_i reuse that cell, so one event bracket
-    [t_i, t_i+1] costs one stacked ``expm`` of the two B blocks and one
-    closed form of the two C blocks.  The degree K of each block is fixed
-    per evaluator by :func:`taylor_degree` at ||X dt||_1, so the truncation
-    error is at most 2^-56 of the column.  Where ||X dt||_1 > 1 for any
-    block (a huge qubit frequency, or strong damping on a coarse grid)
-    every call falls back to the single-time :func:`responses`.  The
-    evaluator holds one cell and no grid-length array.
-    """
-    dt = grid.step
-    # brentq's bracket ends lie within rounding of t_i and t_i + dt
-    reach = dt * (1.0 + 1e-9)
-    stacks = [
-        np.stack([np.asarray(g, dtype=complex)[sl, sl] for g in generators])
-        for sl in (slice(1, 5), slice(5, 7))
-    ]
-    norms = [float(np.abs(x).sum(axis=-2).max()) * reach for x in stacks]
-    if max(norms) > 1.0:
-
-        def single_time(t):
-            (s1, u1), (s2, u2) = (responses(g, [t]) for g in generators)
-            return s1[0], u1[0], s2[0], u2[0]
-
-        return single_time
-    # highest degree first, for Horner's scheme
-    rows = [_taylor_rows(x * dt, taylor_degree(n))[:, ::-1] for x, n in zip(stacks, norms)]
-    cell = {}
-
-    def at(t):
-        t = float(t)
-        if not cell or abs(t - cell["t"]) > reach:
-            anchor = grid.t_start + round((t - grid.t_start) / dt) * dt
-            # column 0 as a single-time responses() call computes it
-            pop = scipy.linalg.expm(stacks[0] * anchor)[:, :, 0]
-            coh = np.hstack(_coherence_column(stacks[1], np.array([anchor])))
-            pop, coh = (np.einsum("pkj,pj->pk", r, col) for r, col in zip(rows, (pop, coh)))
-            cell.update(t=anchor, pop=pop.real.tolist(), coh=coh.tolist())
-        x = (t - cell["t"]) / dt
-        (s1, s2), (u1, u2) = (
-            [_horner(c, x) for c in cell[key]] for key in ("pop", "coh")
-        )
-        return s1, u1, s2, u2
-
-    return at
 
 
 def slow_solution(generator, init, times) -> np.ndarray:

@@ -1,14 +1,17 @@
 """The one-call simulation front end."""
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
+from nmqsim import propagator
 from nmqsim.entanglement import EventKind, extract_events, precursor_from_components
 from nmqsim.model import ModelParams, build_generator
 from nmqsim.pipeline import simulate
 from nmqsim.presets import PRESETS, default_grid, preset_params
-from nmqsim.propagator import TimeGrid, evolve_x_state
+from nmqsim.propagator import TimeGrid, evolve_x_state, x_state_from_responses
 from nmqsim.reconstruction import physicality_deviations, x_matrix
 
 
@@ -76,34 +79,61 @@ def single_time_precursor(params):
     return at
 
 
-def assert_precursor_matches_single_time(params, grid, seed):
-    # random times visit many cells in turn, each near either end of its
-    # cell, so a stale or shifted cell shows as a Taylor step of a whole dt;
-    # a walk in steps of 0.7 dt then shows a cell kept beyond its reach
+def reference_precursor(params):
+    """The precursor at time t from 50-digit exponentials of both pairs' blocks."""
+    generators = [build_generator(params, k) for k in (1, 2)]
+
+    def at(t):
+        pairs = []
+        for gen in generators:
+            with mpmath.workdps(50):
+                s, u = (
+                    mpmath.expm(mpmath.matrix(gen[sl, sl].tolist()) * mpmath.mpf(t))[0, 0]
+                    for sl in (slice(1, 5), slice(5, 7))
+                )
+                pairs.append((float(mpmath.re(s)), complex(u)))
+        (s1, u1), (s2, u2) = pairs
+        _, b, c, _, f = x_state_from_responses(s1, u1, s2, u2, params.nbar)
+        return float(precursor_from_components(b, c, f))
+
+    return at
+
+
+def assert_precursor_matches_reference(params, grid, seed, extra=()):
+    # random times inside random grid cells, near either end of a cell and
+    # in its middle, where events are refined
     rng = np.random.default_rng(seed)
-    cells = rng.integers(0, grid.num_points - 1, 40)
-    times = grid.points[cells] + grid.step * rng.choice([0.0, 0.03, 0.5, 0.97, 1.0], 40)
-    times = np.concatenate((times, grid.points[cells[0]] + 0.7 * grid.step * np.arange(12)))
+    cells = rng.integers(0, grid.num_points - 1, 10)
+    times = grid.points[cells] + grid.step * rng.choice([0.03, 0.5, 0.97], 10)
     fast = simulate(params, grid).series.precursor_fn
-    reference = single_time_precursor(params)
-    worst = max(abs(fast(t) - reference(t)) for t in times)
+    reference = reference_precursor(params)
+    worst = max(abs(fast(t) - reference(t)) for t in (*times, *extra))
     assert worst <= 1e-14
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_cell_precursor_matches_single_time_evolution(name):
-    assert_precursor_matches_single_time(preset_params(name), default_grid(), seed=len(name))
+    assert_precursor_matches_reference(preset_params(name), default_grid(), seed=len(name))
 
 
 @pytest.mark.parametrize("nbar", [0.0, 0.2])
 def test_cell_precursor_at_exceptional_point(nbar):
-    # zero detuning with alpha = gamma_eff / 2: both blocks are defective
+    # zero detuning: both blocks are defective at alpha = gamma_eff / 2, and
+    # at alpha = gamma_eff / 4 the series for s gives way to the difference
+    # quotient at t = 1 / sqrt(x+ - x-) = 2 / (sqrt(3) gamma_eff)
     gamma = 0.5
-    params = ModelParams.from_detunings(
-        omega1=10.0, delta1=0.0, delta2=0.0, alpha1=0.25 * gamma * (2.0 * nbar + 1.0),
-        alpha2=0.25 * gamma * (2.0 * nbar + 1.0), gamma=gamma, nbar=nbar,
-    )
-    assert_precursor_matches_single_time(params, default_grid(), seed=3)
+    gamma_eff = gamma * (2.0 * nbar + 1.0)
+    switch = 2.0 / (np.sqrt(3.0) * gamma_eff)
+    for alpha, extra in (
+        (0.5 * gamma_eff, ()),
+        (0.5 * gamma_eff * (1.0 - 1e-6), ()),
+        (0.25 * gamma_eff, switch * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))),
+    ):
+        params = ModelParams.from_detunings(
+            omega1=10.0, delta1=0.0, delta2=0.0, alpha1=alpha, alpha2=alpha,
+            gamma=gamma, nbar=nbar,
+        )
+        assert_precursor_matches_reference(params, default_grid(), seed=3, extra=extra)
 
 
 @pytest.mark.parametrize(
@@ -112,12 +142,30 @@ def test_cell_precursor_at_exceptional_point(nbar):
     ids=["huge-frequency", "strong-damping"],
 )
 def test_cell_precursor_fallback_regime(omega, gamma, nbar):
-    # ||X dt||_1 > 1 here, so every call takes the single-time path
+    # a huge qubit frequency, or strong damping (gamma_eff = 2e5) on a coarse grid
     params = ModelParams.from_detunings(
         omega1=omega, delta1=0.0, delta2=0.0,
         alpha1=2.0, alpha2=2.0, gamma=gamma, nbar=nbar,
     )
-    assert_precursor_matches_single_time(params, TimeGrid(0.0, 10.0, 201), seed=5)
+    assert_precursor_matches_reference(params, TimeGrid(0.0, 10.0, 201), seed=5)
+
+
+def test_primary_path_takes_no_matrix_exponential(monkeypatch):
+    # simulate and event refinement use closed forms only: at fig3, at the
+    # zero-detuning exceptional point alpha = gamma_eff / 2 and at gamma_eff / 4
+    def refuse(*args, **kwargs):
+        raise AssertionError("the primary path called scipy.linalg.expm")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    for alpha in (0.25, 0.125):
+        params = ModelParams.from_detunings(
+            omega1=10.0, delta1=0.0, delta2=0.0, alpha1=alpha, alpha2=alpha,
+            gamma=0.5, nbar=0.0,
+        )
+        extract_events(simulate(params, default_grid()).series)
+    events = extract_events(simulate(preset_params("fig3"), default_grid()).series)
+    assert len(events) >= 7
+    assert "scipy" not in vars(propagator)
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig6"])

@@ -1,21 +1,18 @@
 """Per-qubit responses s(t), u(t) and the X state they build."""
 
-import math
-
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from nmqsim.model import ModelParams, build_generator
+from nmqsim.oracle import apply_product_map, bell_state, subsystem_transfer_matrix
 from nmqsim.presets import preset_params
 from nmqsim.propagator import (
-    TAYLOR_TOL,
     TimeGrid,
-    cell_responses,
     evolve_x_state,
     responses,
-    taylor_degree,
     x_state_from_responses,
 )
 from nmqsim.reconstruction import physicality_deviations, x_matrix
@@ -92,12 +89,15 @@ def test_frozen_fig2_ee_coefficients():
 
 
 def test_semigroup_property():
-    # a two-point grid starting at 0.7 composes expm(B 0.7) with expm(B 1.2)
+    # exp(B 1.9) = exp(B 1.2) exp(B 0.7): s and u at 1.9 equal column 0 of
+    # the product, each factor taken to 50 digits
     gen = build_generator(preset_params("fig3"), 1)
-    s_direct, u_direct = responses(gen, [1.9])
-    s_stepped, u_stepped = responses(gen, [0.7, 1.9])
-    assert abs(s_stepped[1] - s_direct[0]) < 1e-12
-    assert abs(u_stepped[1] - u_direct[0]) < 1e-12
+    s, u = responses(gen, [0.7, 1.9])
+    for sl, value in ((slice(1, 5), s[1]), (slice(5, 7), u[1])):
+        with mpmath.workdps(50):
+            block = mpmath.matrix(gen[sl, sl].tolist())
+            product = mpmath.expm(block * mpmath.mpf(1.2)) * mpmath.expm(block * mpmath.mpf(0.7))
+            assert abs(value - complex(product[0, 0])) < 1e-12
 
 
 def test_ode_residual():
@@ -209,29 +209,6 @@ def test_x_state_formula_takes_plain_numbers():
         assert abs(point[4] - grid_state[4][i]) <= 1e-17
 
 
-@pytest.mark.parametrize("norm", [0.0, 1e-3, 0.0425, 0.39, 0.6, 1.0])
-def test_taylor_degree_is_smallest_meeting_bound(norm):
-    def bound(k):
-        return norm ** (k + 1) / math.factorial(k + 1) * math.exp(norm)
-
-    degree = taylor_degree(norm)
-    assert bound(degree) <= TAYLOR_TOL
-    assert degree == 0 or bound(degree - 1) > TAYLOR_TOL
-
-
-def test_cell_responses_match_responses_on_the_grid():
-    # at grid times the Taylor step is zero: the cell column is the grid's
-    params = preset_params("fig6")
-    grid = TimeGrid(0.0, 4.0, 401)
-    gens = [build_generator(params, k) for k in (1, 2)]
-    at = cell_responses(gens, grid)
-    (s1, u1), (s2, u2) = (responses(g, grid.points) for g in gens)
-    for i in (0, 1, 150, 399):
-        got = at(grid.points[i])
-        want = (s1[i], u1[i], s2[i], u2[i])
-        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-15
-
-
 LONG_GRID_POINTS = {
     "fig3": preset_params("fig3"),
     "fig6": preset_params("fig6"),
@@ -244,10 +221,8 @@ LONG_GRID_POINTS = {
 
 @pytest.mark.parametrize("name", list(LONG_GRID_POINTS))
 def test_long_grid_matches_high_precision(name):
-    # sample i is column 0 of expm(B t_0) times one expm(B 2^j dt) per set
-    # bit j of i: 4097, 8193 and 16385 open new doubling levels, and 16383
-    # takes the longest product on this grid, 14 factors.  u is a closed
-    # form whose phase reaches ~100 rad at t = 10, so its rounding is about
+    # every sample is its own closed form, accurate to a few ulps for s;
+    # u's phase reaches ~100 rad at t = 10, so its rounding is about
     # eps * 100, not a few ulps
     gen = build_generator(LONG_GRID_POINTS[name], 1)
     grid = TimeGrid(0.0, 10.0, 20001)
@@ -281,3 +256,139 @@ def test_bad_inputs():
         responses(gen, [])
     with pytest.raises(ValueError):
         responses(gen, [0.0, np.nan])
+
+
+def test_negative_times_rejected():
+    # the slow/fast split of s is bounded only forward in time
+    gen = build_generator(ModelParams.from_detunings(
+        omega1=10.0, delta1=0.0, delta2=0.0, alpha1=1.0, alpha2=1.0, gamma=0.0, nbar=0.0,
+    ), 1)
+    for times in ([-1.0], [0.0, 1.0, -1e-300]):
+        with pytest.raises(ValueError, match=">= 0"):
+            responses(gen, times)
+    assert responses(gen, [0.0])[0][0] == 1.0
+
+
+def test_blocks_off_the_generator_pattern_rejected():
+    # the closed forms hold on build_generator's zero pattern only; the sign
+    # flip of verify's corrupted generator keeps that pattern
+    gen = build_generator(preset_params("fig3"), 1)
+    flipped = gen.copy()
+    flipped[1, 2] = -flipped[1, 2]
+    assert np.all(np.isfinite(responses(flipped, [1.0])[0]))
+    for entry in [(0, 0), (1, 1), (1, 3), (2, 5), (7, 5)]:
+        bad = gen.copy()
+        bad[entry] = 0.5
+        with pytest.raises(ValueError, match="build_generator"):
+            responses(bad, [1.0])
+
+
+EPS = np.finfo(float).eps
+
+
+def test_nbar_enters_s_only_through_gamma_eff():
+    # s depends on (gamma, nbar) only through gamma_eff = (2 nbar + 1) gamma
+    times = TimeGrid(0.0, 10.0, 201).points
+    cold = ModelParams.from_detunings(
+        omega1=10.0, delta1=0.7, delta2=0.7, alpha1=1.5, alpha2=1.5, gamma=1.5, nbar=0.0,
+    )
+    warm = ModelParams.from_detunings(
+        omega1=10.0, delta1=0.7, delta2=0.7, alpha1=1.5, alpha2=1.5, gamma=0.5, nbar=1.0,
+    )
+    assert cold.gamma_eff == warm.gamma_eff
+    s_cold, _ = responses(build_generator(cold, 1), times)
+    s_warm, _ = responses(build_generator(warm, 1), times)
+    assert np.array_equal(s_cold, s_warm)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.2])
+def test_series_and_quotient_agree_where_they_meet(nbar):
+    # at zero detuning and alpha = gamma_eff / 4, x+ - x- = 3 gamma_eff^2 / 4,
+    # so s switches from the series to the difference quotients at
+    # t = 2 / (sqrt(3) gamma_eff); both sides match 50-digit exponentials
+    gamma_eff = 0.5 * (2.0 * nbar + 1.0)
+    params = resonant(0.25 * gamma_eff, 0.5, nbar)
+    gen = build_generator(params, 1)
+    switch = 2.0 / (np.sqrt(3.0) * gamma_eff)
+    times = switch * (1.0 + np.array([-1e-6, -1e-15, 0.0, 1e-15, 1e-6]))
+    s, _ = responses(gen, times)
+    for t, value in zip(times, s):
+        assert abs(value - high_precision_responses(gen, t)[0]) <= 2.0 * EPS
+
+
+def test_stiff_coherence_matches_high_precision():
+    # under strong damping the slow eigenvalue of C is a small difference of
+    # large numbers, taken here as det / (fast eigenvalue) instead
+    params = ModelParams.from_detunings(
+        omega1=10.0, delta1=0.3, delta2=0.3, alpha1=2.0, alpha2=2.0, gamma=100.0, nbar=1e3,
+    )
+    gen = build_generator(params, 1)
+    times = [0.01, 1.0, 10.0, 100.0]
+    s, u = responses(gen, times)
+    for t, s_t, u_t in zip(times, s, u):
+        ref_s, ref_u = high_precision_responses(gen, t)
+        assert abs(s_t - ref_s) <= 4.0 * EPS
+        assert abs(u_t - ref_u) <= 4.0 * EPS * (1.0 + 10.0 * t)
+
+
+
+
+def high_precision_responses(gen, t):
+    """s and u of one pair at time t from 50-digit exponentials of its blocks."""
+    with mpmath.workdps(50):
+        s, u = (
+            mpmath.expm(mpmath.matrix(gen[sl, sl].tolist()) * mpmath.mpf(t))[0, 0]
+            for sl in (slice(1, 5), slice(5, 7))
+        )
+        return float(mpmath.re(s)), complex(u)
+
+
+@st.composite
+def box_points(draw):
+    """(params, t) in the box |alpha| in [1e-3, 30], gamma in [0, 100],
+    nbar in [0, 1e3], |delta| <= 30 of either sign, t in [0, 100], omega 10;
+    a third of the draws sit at or near the zero-detuning exceptional point
+    alpha = gamma_eff / 2."""
+    def log_uniform(low, high):
+        return 10.0 ** draw(st.floats(np.log10(low), np.log10(high)))
+
+    alpha = log_uniform(1e-3, 30.0) * draw(st.sampled_from([-1.0, 1.0]))
+    nbar = draw(st.sampled_from([0.0, log_uniform(1e-3, 1e3)]))
+    if draw(st.integers(0, 2)) == 0:
+        delta = 0.0
+        rel = draw(st.sampled_from([0.0, 1e-14, -1e-10, 1e-6, -1e-3]))
+        gamma = 2.0 * abs(alpha) / (2.0 * nbar + 1.0) * (1.0 + rel)
+    else:
+        delta = draw(st.sampled_from([0.0, log_uniform(1e-3, 30.0)])) * draw(st.sampled_from([-1.0, 1.0]))
+        gamma = draw(st.sampled_from([0.0, log_uniform(1e-3, 100.0)]))
+    t = draw(st.floats(0.0, 100.0))
+    params = ModelParams.from_detunings(
+        omega1=10.0, delta1=delta, delta2=delta, alpha1=alpha, alpha2=alpha,
+        gamma=gamma, nbar=nbar,
+    )
+    return params, t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(box_points())
+def test_accuracy_gate(point):
+    # rounding perturbs the phases of the responses, which grow as t times
+    # the blocks' oscillation frequencies: at most 2 |alpha| + |delta| for s
+    # and |omega| + 2 |alpha| + |delta| for u, whose damping bounds every
+    # other error.  s and u lie within 8 eps (1 + that frequency t) of
+    # 50-digit exponentials.  The X state lies within 16 eps (1 + Lam t),
+    # Lam = |omega| + gamma_eff + 2 |alpha| + |delta|, of the oracle's
+    # product of the two 16x16 pair maps, whose own error grows with gamma_eff
+    params, t = point
+    beat = 2.0 * abs(params.alpha1) + abs(params.delta1)
+    omega = abs(params.omega1)
+    gens = [build_generator(params, k) for k in (1, 2)]
+    s, u = responses(gens[0], [t])
+    ref_s, ref_u = high_precision_responses(gens[0], t)
+    assert abs(s[0] - ref_s) <= 8.0 * EPS * (1.0 + beat * t)
+    assert abs(u[0] - ref_u) <= 8.0 * EPS * (1.0 + (omega + beat) * t)
+    state = x_matrix(*evolve_x_state(gens, params.nbar, [t]))[0]
+    maps = [subsystem_transfer_matrix(params, k, t) for k in (1, 2)]
+    oracle = apply_product_map(*maps, bell_state())
+    scale = 1.0 + (omega + params.gamma_eff + beat) * t
+    assert np.abs(state - oracle).max() <= 16.0 * EPS * scale

@@ -1,12 +1,11 @@
 """The reduced two-qubit X state and its matrix form."""
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from nmqsim.model import build_generator
 from nmqsim.presets import preset_params
-from nmqsim.propagator import TimeGrid, evolve_x_state
+from nmqsim.propagator import TimeGrid, evolve_x_state, x_state_from_responses
 from nmqsim.reconstruction import physicality_deviations, x_matrix
 
 BELL = 0.5 * np.array([
@@ -37,10 +36,9 @@ def test_single_atom_block_examples():
     # with s(t) = u(t) = exp(-t) each qubit starts excited (population 1) or
     # in ground (population 0) with coherence 1, and ends in the thermal
     # population nbar / (2 nbar + 1) with no coherence, cold and warm alike
-    decay = np.diag([0.0] + [-1.0] * 8).astype(complex)
-    times = TimeGrid(0.0, 60.0, 7).points
+    decay = np.exp(-TimeGrid(0.0, 60.0, 7).points)
     for nbar in (0.0, 0.2):
-        a, b, c, d, f = evolve_x_state([decay, decay], nbar, times)
+        a, b, c, d, f = x_state_from_responses(decay, decay, decay, decay, nbar)
         start = np.array([a[0], b[0], c[0], d[0], f[0]])
         assert np.abs(start - [0.5, 0.0, 0.0, 0.5, 0.5]).max() < 1e-15
         p = nbar / (2.0 * nbar + 1.0)
@@ -98,11 +96,14 @@ def test_coherence_factorizes():
     assert np.abs(f - 0.5 * raising[0] * raising[1]).max() < 1e-12
 
 
-def test_grid_mismatch_rejected():
-    # the responses are stepped on one uniform grid; anything else is refused
-    for times in ([0.0, 0.1, 0.3], [1.0, 0.5, 0.0], [0.5, 0.5]):
-        with pytest.raises(ValueError):
-            _state("fig2", times)
+def test_unsorted_and_repeated_times_match_the_sorted_call():
+    # the responses are elementwise in t, so a sample does not see the others
+    times = np.array([2.5, 0.0, 7.25, 2.5, 1e-3, 0.0, 9.0, 0.3])
+    order = np.argsort(times, kind="stable")
+    _, unsorted = _state("fig6", times)
+    _, ordered = _state("fig6", times[order])
+    for x, y in zip(unsorted, ordered):
+        assert np.array_equal(x[order], y)
 
 
 def test_x_matrix_layout():
