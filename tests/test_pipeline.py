@@ -79,20 +79,24 @@ def single_time_precursor(params):
     return at
 
 
+def high_precision_responses(gen, t):
+    """s and u of one pair at time t from 50-digit exponentials of its blocks."""
+    with mpmath.workdps(50):
+        s, u = (
+            mpmath.expm(mpmath.matrix(gen[sl, sl].tolist()) * mpmath.mpf(t))[0, 0]
+            for sl in (slice(1, 5), slice(5, 7))
+        )
+        return float(mpmath.re(s)), complex(u)
+
+
 def reference_precursor(params):
     """The precursor at time t from 50-digit exponentials of both pairs' blocks."""
-    generators = [build_generator(params, k) for k in (1, 2)]
+    gen1, gen2 = (build_generator(params, k) for k in (1, 2))
+    same = np.array_equal(gen1, gen2)
 
     def at(t):
-        pairs = []
-        for gen in generators:
-            with mpmath.workdps(50):
-                s, u = (
-                    mpmath.expm(mpmath.matrix(gen[sl, sl].tolist()) * mpmath.mpf(t))[0, 0]
-                    for sl in (slice(1, 5), slice(5, 7))
-                )
-                pairs.append((float(mpmath.re(s)), complex(u)))
-        (s1, u1), (s2, u2) = pairs
+        s1, u1 = high_precision_responses(gen1, t)
+        s2, u2 = (s1, u1) if same else high_precision_responses(gen2, t)
         _, b, c, _, f = x_state_from_responses(s1, u1, s2, u2, params.nbar)
         return float(precursor_from_components(b, c, f))
 

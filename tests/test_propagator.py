@@ -286,6 +286,20 @@ def test_blocks_off_the_generator_pattern_rejected():
 EPS = np.finfo(float).eps
 
 
+def test_coherence_where_the_frequency_cancels_sigma():
+    # at gamma = 0, delta = 0 and omega = -alpha the fast root m - sigma of C
+    # is 0 while the slow one is 2 i alpha: the slow root is formed after the
+    # rotation i Im m is removed, so no 0 / 0 arises
+    params = ModelParams.from_detunings(
+        omega1=-2.0, delta1=0.0, delta2=0.0, alpha1=2.0, alpha2=2.0, gamma=0.0, nbar=0.0,
+    )
+    gen = build_generator(params, 1)
+    times = [0.5, 3.0, 40.0]
+    _, u = responses(gen, times)
+    for t, u_t in zip(times, u):
+        assert abs(u_t - high_precision_responses(gen, t)[1]) <= 8.0 * EPS * (1.0 + 4.0 * t)
+
+
 def test_nbar_enters_s_only_through_gamma_eff():
     # s depends on (gamma, nbar) only through gamma_eff = (2 nbar + 1) gamma
     times = TimeGrid(0.0, 10.0, 201).points
