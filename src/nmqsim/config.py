@@ -196,7 +196,7 @@ def _build_grid(pairs: dict) -> TimeGrid:
             f"num_points {num_points} is more than the cap {GRID_CAP}", key="num_points"
         )
     try:
-        return TimeGrid(0.0, t_end, num_points)
+        return TimeGrid(t_end, num_points)
     except ValueError as exc:
         # with a valid count, only the end time can be at fault
         raise ConfigError(str(exc), key="t_end") from None

@@ -102,6 +102,8 @@ def entanglement_of_formation(concurrence) -> np.ndarray | float:
     the endpoints are defined by the limit 0 log 0 = 0.
     """
     c = np.asarray(concurrence, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError("concurrence must be finite")
     if (c < -1e-12).any() or (c > 1.0 + 1e-12).any():
         raise ValueError("concurrence outside [0, 1]")
     c = np.clip(c, 0.0, 1.0)
@@ -135,10 +137,12 @@ class EventKind(enum.Enum):
 class EntanglementEvent:
     """A zero-crossing event of the entanglement precursor.
 
-    precise is False when the crossing was only bracketed by a single
-    grid sample (sign pattern + - + across adjacent points), in which
-    case the time is grid-resolution accurate rather than refined to
-    1e-10 by Brent's method.
+    time is the crossing between two adjacent grid samples, refined to
+    1e-10 by Brent's method on the series' continuous-time precursor, or
+    on the linear interpolant of the samples when the series has none.
+    precise is False when the dead interval spans a single grid sample
+    (sign pattern + - + across adjacent points), in which case the time
+    is only grid-resolution accurate.
     """
 
     kind: EventKind
@@ -151,8 +155,9 @@ class EntanglementSeries:
     """Concurrence, precursor and EoF sampled on a time grid.
 
     precursor_fn, when provided, evaluates the same precursor at arbitrary
-    times; event extraction uses it to refine crossing times by Brent's
-    method (xtol 1e-10).  The one :func:`~nmqsim.pipeline.simulate` builds
+    times; event extraction refines crossing times on it by Brent's method
+    (xtol 1e-10), and on the linear interpolant of the samples without
+    it.  The one :func:`~nmqsim.pipeline.simulate` builds
     evaluates the same closed-form responses as the grid at the requested
     time, with their constants computed once per run.
     """
@@ -223,9 +228,10 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
 
     The brackets come from a scan with no Python loop over samples (see
     _scan).  Crossing times are refined to 1e-10 by Brent's method
-    (brentq) on series.precursor_fn when available, otherwise by linear
-    interpolation of the samples; the evaluator that simulate() provides
-    is the grid's closed form at any time (see EntanglementSeries).
+    (brentq) on series.precursor_fn when available, otherwise on the
+    linear interpolant of the samples, where it finds the chord's
+    crossing; the evaluator that simulate() provides is the grid's closed
+    form at any time (see EntanglementSeries).
     brentq raises ValueError if the precursor takes the same sign at both
     ends of a bracket.  A death interval shorter than two grid steps
     triggers one coarse-grid warning per call, and the affected events
@@ -235,17 +241,7 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
         raise ValueError("threshold must lie in (0, 1]")
     s = np.asarray(series.precursor, dtype=float)
     t = series.grid.points
-    fn = series.precursor_fn
-
-    def refine(i: int, level: float) -> float:
-        # crossing of level between samples i and i+1
-        if fn is None:
-            a, b = s[i] - level, s[i + 1] - level
-            if b == a:
-                return float(t[i])
-            return float(t[i] - a * (t[i + 1] - t[i]) / (b - a))
-        return brentq(lambda u: fn(u) - level, t[i], t[i + 1], xtol=1e-10)
-
+    fn = series.precursor_fn or (lambda u: np.interp(u, t, s))
     scanned = _scan(s, threshold)
     if not all(precise for *_, precise in scanned):
         warnings.warn(
@@ -253,7 +249,10 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
             "crossing times are grid-resolution limited",
             stacklevel=2,
         )
+    # each crossing of level lies between samples i and i+1
     return [
-        EntanglementEvent(kind, refine(i, level), precise)
+        EntanglementEvent(
+            kind, brentq(lambda u: fn(u) - level, t[i], t[i + 1], xtol=1e-10), precise
+        )
         for kind, i, level, precise in scanned
     ]

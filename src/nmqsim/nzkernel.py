@@ -114,10 +114,11 @@ def solve_nz(generator, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
     fused 9x9 step map T of [y, h], built from the same prediction, the
     same two corrector passes and the same h update.
 
-    ``init`` is one 9-vector or a (k, 9) stack solved together.  Returns
-    (num_points, 9), or (num_points, k, 9) for a stack, with support on
-    indices 0, 1, 5, 7.  The memory kernel of ``generator`` is built at the
-    grid's step.
+    ``init`` is the state at t = 0, where the history integral starts: one
+    9-vector or a (k, 9) stack solved together.  Returns the state at each
+    grid time, (num_points, 9), or (num_points, k, 9) for a stack, with
+    support on indices 0, 1, 5, 7.  The memory kernel of ``generator`` is
+    built at the grid's step.
     """
     init = np.asarray(init, dtype=complex)
     if init.shape[-1:] != (9,) or init.ndim not in (1, 2):
@@ -125,8 +126,6 @@ def solve_nz(generator, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
     off = np.abs(init[..., _Q]).max()
     if off > 0.0:
         raise ValueError("initial vector has weight outside the projected subspace")
-    if grid.t_start != 0.0:
-        raise ValueError("the history integral starts at t=0; grid must too")
     dt = grid.step
     kernel = build_kernel(generator, dt)
 

@@ -6,10 +6,15 @@ the state is carried only on the components of vec rho that its sparsity
 pattern can reach from the initial support.  The Liouvillian does not
 depend on time, so one grid step is one fixed linear map; a generic
 adaptive Runge-Kutta method (DOP853, at RTOL and ATOL) integrates that map
-once from the identity, and it is then applied at every step.  No matrix
-exponential enters this integration, so its error profile shares nothing
-with the exact-exponential primary path.  Agreement between the two is the
-strongest correctness statement the package makes.
+once from the identity, and it is then applied at every step.  The primary
+path evaluates closed forms in the entries of the 9x9 coefficient-space
+generator; this one uses neither that generator nor those formulas, but
+builds the dynamics from the Hamiltonian and the dissipator in Hilbert
+space and integrates it numerically, so a mistake in the generator, the
+response formulas or the X-state read-out shows up as a disagreement, and
+its error is Runge-Kutta truncation rather than the closed forms' rounding.
+Agreement between the two is the strongest correctness statement the
+package makes.
 
 Also provides the Choi-matrix test of complete positivity for the reduced
 single-qubit maps.  For that purpose the dynamics factorizes into two
@@ -124,7 +129,7 @@ def _reachable(liouv: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def evolve_full(params: ModelParams, rho0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Evolve vec rho0 under the 256x256 Liouvillian on the grid, shape (n, 16, 16).
+    """rho(t) from rho(0) = rho0 at each grid time t = i step, shape (n, 16, 16).
 
     The Liouvillian does not depend on time, so one grid step is one fixed
     map: rho(t + dt) = Phi(dt) rho(t).  Only the components reachable from

@@ -3,9 +3,10 @@
 This is the path the CLI drives.  Each qubit enters only through its two
 scalar responses s_k and u_k (see :mod:`nmqsim.propagator`), closed forms
 that give the X-state components at any time, not just on the sample grid.
-The continuous-time precursor used to refine event times evaluates the same
-closed forms at its own time and builds the X state with the same formula
-as the grid, :func:`~nmqsim.propagator.x_state_from_responses`.
+The continuous-time precursor used to refine event times calls the grid's
+response evaluator, whose constants are computed once per run, at its own
+time and builds the X state with the same formula as the grid,
+:func:`~nmqsim.propagator.x_state_from_responses`.
 """
 
 from dataclasses import dataclass
@@ -18,12 +19,7 @@ from .entanglement import (
     precursor_from_components,
 )
 from .model import ModelParams, build_generator
-from .propagator import (
-    TimeGrid,
-    _response_evaluator,
-    evolve_x_state,
-    x_state_from_responses,
-)
+from .propagator import TimeGrid, _response_evaluator, x_state_from_responses
 
 __all__ = ["HEALTH_TOL", "RunHealthError", "SimulationResult", "simulate"]
 
@@ -73,15 +69,12 @@ def simulate(params: ModelParams, grid: TimeGrid) -> SimulationResult:
     generators = [build_generator(params, k) for k in (1, 2)]
     # overflow and NaN are reported once, by the health check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a, b, c, d, f = evolve_x_state(generators, params.nbar, grid.points)
+        responses_at = _response_evaluator(generators)
+        (s1, s2), (u1, u2) = responses_at(grid.points)
+        a, b, c, d, f = x_state_from_responses(s1, u1, s2, u2, params.nbar)
     _check_health(a, b, c, d, f)
 
-    responses_at = None  # built on the first call, so event-free runs skip it
-
     def precursor_at(t: float) -> float:
-        nonlocal responses_at
-        if responses_at is None:
-            responses_at = _response_evaluator(generators)
         (s1, s2), (u1, u2) = (x.ravel().tolist() for x in responses_at(t))
         _, bt, ct, _, ft = x_state_from_responses(s1, u1, s2, u2, params.nbar)
         return float(precursor_from_components(bt, ct, ft))

@@ -73,4 +73,4 @@ def preset_params(name: str) -> ModelParams:
 
 
 def default_grid() -> TimeGrid:
-    return TimeGrid(0.0, DEFAULT_T_END, DEFAULT_NUM_POINTS)
+    return TimeGrid(DEFAULT_T_END, DEFAULT_NUM_POINTS)

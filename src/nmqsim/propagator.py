@@ -55,6 +55,7 @@ section 1.8); the shift keeps the qubit frequency out of that quotient.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,32 +82,33 @@ _INV_FACTORIAL = [1.0 / math.factorial(n) for n in range(22)]
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing sample times ``linspace(t_start, t_end, num_points)``."""
+    """Sample times ``linspace(0, t_end, num_points)``; every run starts at t = 0."""
 
-    t_start: float
     t_end: float
     num_points: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.t_start) or not np.isfinite(self.t_end):
-            raise ValueError("grid endpoints must be finite")
-        if self.t_start < 0:
-            raise ValueError(f"t_start must be >= 0, got {self.t_start}")
-        if self.t_end <= self.t_start:
-            raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
-        if int(self.num_points) != self.num_points or self.num_points < 2:
+        if not np.isfinite(self.t_end) or self.t_end <= 0:
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
+        try:
+            # Python and numpy integers only: bool is an int but not a count
+            count = -1 if isinstance(self.num_points, bool) else operator.index(self.num_points)
+        except TypeError:
+            count = -1
+        if count < 2:
             raise ValueError(f"num_points must be an integer >= 2, got {self.num_points!r}")
+        object.__setattr__(self, "num_points", count)
         # a subnormal step cannot resolve uniformly spaced samples
         if self.step < np.finfo(float).tiny:
             raise ValueError(f"grid step {self.step:.3g} is below the smallest normal float")
 
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.num_points)
+        return np.linspace(0.0, self.t_end, self.num_points)
 
     @property
     def step(self) -> float:
-        return (self.t_end - self.t_start) / (self.num_points - 1)
+        return self.t_end / (self.num_points - 1)
 
 
 def _response_evaluator(generators):

@@ -195,6 +195,9 @@ def test_eof_domain_checked():
         entanglement_of_formation(1.1)
     with pytest.raises(ValueError):
         entanglement_of_formation(-0.2)
+    for bad in (np.nan, np.inf, [0.5, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            entanglement_of_formation(bad)
     # roundoff-level excursions are tolerated
     assert entanglement_of_formation(1.0 + 5e-13) == pytest.approx(1.0, abs=1e-6)
 
@@ -216,7 +219,7 @@ def test_markovian_rate_values():
 
 
 def make_series(t_end, s, fn=None):
-    grid = TimeGrid(0.0, t_end, len(s))
+    grid = TimeGrid(t_end, len(s))
     s = np.asarray(s, dtype=float)
     conc = np.clip(s, 0.0, None)
     return EntanglementSeries(

@@ -37,7 +37,7 @@ def test_concurrence_is_clamped_precursor():
 
 def test_precursor_evaluator_matches_samples():
     params = preset_params("fig7")
-    grid = TimeGrid(0.0, 5.0, 101)
+    grid = TimeGrid(5.0, 101)
     result = simulate(params, grid)
     at = result.series.precursor_fn
     assert at is not None
@@ -151,7 +151,7 @@ def test_cell_precursor_fallback_regime(omega, gamma, nbar):
         omega1=omega, delta1=0.0, delta2=0.0,
         alpha1=2.0, alpha2=2.0, gamma=gamma, nbar=nbar,
     )
-    assert_precursor_matches_reference(params, TimeGrid(0.0, 10.0, 201), seed=5)
+    assert_precursor_matches_reference(params, TimeGrid(10.0, 201), seed=5)
 
 
 def test_primary_path_takes_no_matrix_exponential(monkeypatch):

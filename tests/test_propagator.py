@@ -38,7 +38,7 @@ def resonant(alpha, gamma, nbar, omega=10.0):
 
 
 def test_grid_properties():
-    grid = TimeGrid(0.0, 10.0, 2001)
+    grid = TimeGrid(10.0, 2001)
     assert grid.points[0] == 0.0
     assert grid.points[-1] == 10.0
     assert grid.step == pytest.approx(0.005, abs=1e-15)
@@ -47,18 +47,26 @@ def test_grid_properties():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        TimeGrid(0.0, 10.0, 1)
-    with pytest.raises(ValueError):
-        TimeGrid(5.0, 5.0, 10)
-    with pytest.raises(ValueError):
-        TimeGrid(-1.0, 5.0, 10)
+        TimeGrid(10.0, 1)
+    for t_end in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_end"):
+            TimeGrid(t_end, 10)
+    # a float or bool count would build a grid whose points linspace rejects
+    for count in (5.0, np.float64(5.0), True, "5"):
+        with pytest.raises(ValueError, match="num_points"):
+            TimeGrid(1.0, count)
+    grid = TimeGrid(1.0, np.int64(5))
+    assert type(grid.num_points) is int
+    assert grid.points.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    with pytest.raises(TypeError):  # the grid has no start time to set
+        TimeGrid(0.0, 1.0, 5)
 
 
 def test_grid_rejects_subnormal_step():
     for t_end in (1e-310, 5e-324):
         with pytest.raises(ValueError, match="smallest normal float"):
-            TimeGrid(0.0, t_end, 2001)
-    assert TimeGrid(0.0, 2000 * np.finfo(float).tiny, 2001).step >= np.finfo(float).tiny
+            TimeGrid(t_end, 2001)
+    assert TimeGrid(2000 * np.finfo(float).tiny, 2001).step >= np.finfo(float).tiny
 
 
 def test_time_zero_is_identity():
@@ -73,7 +81,7 @@ def test_normalization_component_constant():
     # decayed, both qubits sit in the thermal state diag(nbar, nbar+1)/w
     params = preset_params("fig6")
     n, w = params.nbar, 2.0 * params.nbar + 1.0
-    grid = TimeGrid(0.0, 400.0 / params.gamma_eff, 101)
+    grid = TimeGrid(400.0 / params.gamma_eff, 101)
     a, b, c, d, f = evolve_x_state(
         [build_generator(params, k) for k in (1, 2)], n, grid.points
     )
@@ -116,7 +124,7 @@ def test_ode_residual():
 def test_blocks_do_not_mix():
     # the X pattern is structural: no weight ever lands outside it
     params = preset_params("fig7")
-    grid = TimeGrid(0.0, 10.0, 201)
+    grid = TimeGrid(10.0, 201)
     rho = x_matrix(*evolve_x_state(
         [build_generator(params, k) for k in (1, 2)], params.nbar, grid.points
     ))
@@ -141,7 +149,7 @@ def test_alpha_zero_freezes_populations():
         omega1=10.0, delta1=2.0, delta2=2.0,
         alpha1=0.0, alpha2=0.0, gamma=0.5, nbar=0.0,
     )
-    s, _ = responses(build_generator(params, 1), TimeGrid(0.0, 5.0, 51).points)
+    s, _ = responses(build_generator(params, 1), TimeGrid(5.0, 51).points)
     assert np.abs(s - 1.0).max() < 1e-12
 
 
@@ -160,7 +168,7 @@ def test_exceptional_point_sweep():
                     ref_u = mpmath.expm(mpmath.matrix(gen[5:7, 5:7].tolist()) * t)[0, 0]
                 assert abs(s[0] - float(mpmath.re(ref_s))) < 1e-12
                 assert abs(u[0] - complex(ref_u)) < 1e-12
-            grid = TimeGrid(0.0, 10.0, 201)
+            grid = TimeGrid(10.0, 201)
             rho = x_matrix(*evolve_x_state(
                 [build_generator(params, k) for k in (1, 2)], nbar, grid.points
             ))
@@ -181,7 +189,7 @@ def test_coherence_magnitude_decays_when_overdamped():
 def test_x_state_from_responses():
     params = preset_params("fig7")
     n, w = params.nbar, 2.0 * params.nbar + 1.0
-    times = TimeGrid(0.0, 10.0, 101).points
+    times = TimeGrid(10.0, 101).points
     gens = [build_generator(params, 1), build_generator(params, 2)]
     a, b, c, d, f = evolve_x_state(gens, n, times)
     assert all(x.shape == (101,) for x in (a, b, c, d, f))
@@ -196,7 +204,7 @@ def test_x_state_from_responses():
 def test_x_state_formula_takes_plain_numbers():
     # the continuous-time evaluator feeds the grid's formula Python floats
     params = preset_params("fig7")
-    times = TimeGrid(0.0, 10.0, 101).points
+    times = TimeGrid(10.0, 101).points
     (s1, u1), (s2, u2) = (responses(build_generator(params, k), times) for k in (1, 2))
     grid_state = x_state_from_responses(s1, u1, s2, u2, params.nbar)
     for i in (0, 37, 100):
@@ -225,7 +233,7 @@ def test_long_grid_matches_high_precision(name):
     # u's phase reaches ~100 rad at t = 10, so its rounding is about
     # eps * 100, not a few ulps
     gen = build_generator(LONG_GRID_POINTS[name], 1)
-    grid = TimeGrid(0.0, 10.0, 20001)
+    grid = TimeGrid(10.0, 20001)
     s, u = responses(gen, grid.points)
     with mpmath.workdps(50):
         pop, coh = (mpmath.matrix(gen[sl, sl].tolist()) for sl in (slice(1, 5), slice(5, 7)))
@@ -237,7 +245,7 @@ def test_long_grid_matches_high_precision(name):
 
 def test_symmetric_pairs_evolve_identically():
     params = preset_params("fig8")
-    times = TimeGrid(0.0, 5.0, 101).points
+    times = TimeGrid(5.0, 101).points
     s1, u1 = responses(build_generator(params, 1), times)
     s2, u2 = responses(build_generator(params, 2), times)
     assert np.array_equal(s1, s2)
@@ -302,7 +310,7 @@ def test_coherence_where_the_frequency_cancels_sigma():
 
 def test_nbar_enters_s_only_through_gamma_eff():
     # s depends on (gamma, nbar) only through gamma_eff = (2 nbar + 1) gamma
-    times = TimeGrid(0.0, 10.0, 201).points
+    times = TimeGrid(10.0, 201).points
     cold = ModelParams.from_detunings(
         omega1=10.0, delta1=0.7, delta2=0.7, alpha1=1.5, alpha2=1.5, gamma=1.5, nbar=0.0,
     )

@@ -36,7 +36,7 @@ def test_single_atom_block_examples():
     # with s(t) = u(t) = exp(-t) each qubit starts excited (population 1) or
     # in ground (population 0) with coherence 1, and ends in the thermal
     # population nbar / (2 nbar + 1) with no coherence, cold and warm alike
-    decay = np.exp(-TimeGrid(0.0, 60.0, 7).points)
+    decay = np.exp(-TimeGrid(60.0, 7).points)
     for nbar in (0.0, 0.2):
         a, b, c, d, f = x_state_from_responses(decay, decay, decay, decay, nbar)
         start = np.array([a[0], b[0], c[0], d[0], f[0]])
@@ -51,12 +51,12 @@ def test_bell_state_at_time_zero():
     # at t = 0 both responses are 1, so every qubit reads out its initial
     # population exactly, whatever the temperature
     for name in ("fig2", "fig6"):
-        _, x = _state(name, TimeGrid(0.0, 1.0, 11).points)
+        _, x = _state(name, TimeGrid(1.0, 11).points)
         assert np.abs(x_matrix(*x)[0] - BELL).max() < 1e-12
 
 
 def test_frozen_fig2_reduced_state():
-    _, x = _state("fig2", TimeGrid(0.0, 1.0, 2).points)
+    _, x = _state("fig2", TimeGrid(1.0, 2).points)
     rho = x_matrix(*x)[1]
     assert abs(rho[0, 0] - FIG2_RHO_T1["a"]) < 1e-8
     assert abs(rho[1, 1] - FIG2_RHO_T1["b"]) < 1e-8
@@ -69,13 +69,13 @@ def test_frozen_fig2_reduced_state():
 def test_cold_reservoir_longtime_ground_state():
     params = preset_params("fig2")
     t_end = 200.0 / params.gamma_eff
-    _, x = _state("fig2", TimeGrid(0.0, t_end, 5).points)
+    _, x = _state("fig2", TimeGrid(t_end, 5).points)
     rho = x_matrix(*x)[4]
     assert np.abs(rho - np.diag([0.0, 0.0, 0.0, 1.0])).max() < 1e-6
 
 
 def test_series_matches_single_assembly():
-    times = TimeGrid(0.0, 4.0, 41).points
+    times = TimeGrid(4.0, 41).points
     _, series = _state("fig7", times)
     rhos = x_matrix(*series)
     assert rhos.shape == (41, 4, 4)
@@ -86,7 +86,7 @@ def test_series_matches_single_assembly():
 
 def test_coherence_factorizes():
     # the |11><00| entry is half the product of the two raising coefficients
-    times = TimeGrid(0.0, 6.0, 301).points
+    times = TimeGrid(6.0, 301).points
     params, (_, _, _, _, f) = _state("fig8", times)
     raising = [
         np.array([scipy.linalg.expm(build_generator(params, k)[5:7, 5:7] * t)[0, 0]
@@ -117,7 +117,7 @@ def test_x_matrix_layout():
 
 
 def test_x_components_series():
-    _, (a, b, c, d, f) = _state("fig3", TimeGrid(0.0, 10.0, 201).points)
+    _, (a, b, c, d, f) = _state("fig3", TimeGrid(10.0, 201).points)
     rhos = x_matrix(a, b, c, d, f)
     assert np.abs(a + b + c + d - 1.0).max() < 1e-9
     assert np.array_equal(rhos[:, 0, 0].real, a)
@@ -125,7 +125,7 @@ def test_x_components_series():
 
 
 def test_physicality_deviations():
-    _, x = _state("fig6", TimeGrid(0.0, 10.0, 501).points)
+    _, x = _state("fig6", TimeGrid(10.0, 501).points)
     trace_dev, herm_dev, min_eig = physicality_deviations(x_matrix(*x))
     assert trace_dev < 1e-9
     assert herm_dev < 1e-12
