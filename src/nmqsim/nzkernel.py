@@ -27,8 +27,9 @@ defective.
 After the first step, which alone has the half weight on y_0 and no
 history, every step is one fixed linear map of the 9-vector
 z_i = [y_i, h_i]: z_{i+1} = z_i T.  The solver builds the 9x9 step map T
-once, by pushing the identity through one step, and then applies it step
-by step; it takes no powers of T.
+once, by pushing the identity through one step, and takes every later
+state as z_i = z_1 T^(i-1) with :func:`nmqsim.propagator.step_powers`,
+the doubling that also fills the kernel's lags.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import P_INDICES, Q_INDICES
-from .propagator import TimeGrid
+from .propagator import TimeGrid, step_powers
 
 __all__ = ["MemoryKernelSamples", "build_kernel", "solve_nz"]
 
@@ -68,16 +69,8 @@ class MemoryKernelSamples:
 
     def samples(self, n: int) -> np.ndarray:
         """K at lags 0, step, ..., (n - 1) step: (n, 9, 9), support on rows/columns 0, 1, 5, 7."""
-        # PL E^(m + j) = (PL E^j) E^m fills the lags in log2(n) batched products
-        rows = np.empty((n,) + self.left.shape, dtype=complex)
-        rows[0] = self.left
-        m, Em = 1, self.step_map
-        while m < n:
-            k = min(m, n - m)
-            rows[m : m + k] = rows[:k] @ Em
-            m, Em = m + k, Em @ Em
         out = np.zeros((n, 9, 9), dtype=complex)
-        out[np.ix_(range(n), _P, _P)] = rows @ self.right
+        out[np.ix_(range(n), _P, _P)] = step_powers(self.left, self.step_map, n) @ self.right
         return out
 
 
@@ -110,9 +103,10 @@ def solve_nz(generator, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
     single correction would leave on the oscillatory components.  Global
     error is O(dt^2).  The history sum is carried as the Q-space vector h
     of the module docstring, so the cost is linear in the number of steps.
-    Step 0 is taken on its own; every later step is one product with the
-    fused 9x9 step map T of [y, h], built from the same prediction, the
-    same two corrector passes and the same h update.
+    Step 0 is taken on its own; every later step is the fused 9x9 step
+    map T of [y, h], built from the same prediction, the same two
+    corrector passes and the same h update, so the states after step 0
+    are z_1 T^j, filled by doubling.
 
     ``init`` is the state at t = 0, where the history integral starts: one
     9-vector or a (k, 9) stack solved together.  Returns the state at each
@@ -123,8 +117,9 @@ def solve_nz(generator, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
     init = np.asarray(init, dtype=complex)
     if init.shape[-1:] != (9,) or init.ndim not in (1, 2):
         raise ValueError("initial vector must have 9 components")
-    off = np.abs(init[..., _Q]).max()
-    if off > 0.0:
+    if not np.isfinite(init).all():
+        raise ValueError("initial vector must be finite")
+    if init[..., _Q].any():
         raise ValueError("initial vector has weight outside the projected subspace")
     dt = grid.step
     kernel = build_kernel(generator, dt)
@@ -150,20 +145,16 @@ def solve_nz(generator, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
         return ynew, h
 
     p = len(_P)
-    z = np.zeros((grid.num_points,) + init.shape[:-1] + (p + len(_Q),), dtype=complex)
-    z[0, ..., :p] = init[..., _P]
-    if grid.num_points > 1:
-        # step 0: the trapezoid's half weight on y_0, and no history yet
-        y0 = z[0, ..., :p]
-        z[1, ..., :p], z[1, ..., p:] = step(y0, 0.5 * y0 @ LPt, np.zeros_like(y0))
+    y0 = init[..., _P]
+    # step 0: the trapezoid's half weight on y_0, and no history yet
+    z1 = np.concatenate(step(y0, 0.5 * y0 @ LPt, np.zeros_like(y0)), axis=-1)
     # every later step is one linear map of z_i = [y_i, h_i]: push the
-    # identity through it once, then apply it row by row
+    # identity through it once to get T, then z_i = z_1 T^(i - 1)
     eye = np.eye(p + len(_Q), dtype=complex)
     y, h = eye[:, :p], eye[:, p:]
     T = np.concatenate(step(y, h + y @ LPt, h @ PLt), axis=1)
-    for i in range(1, grid.num_points - 1):
-        np.matmul(z[i], T, out=z[i + 1])
 
-    out = np.zeros(z.shape[:-1] + (9,), dtype=complex)
-    out[..., _P] = z[..., :p]
+    out = np.zeros((grid.num_points,) + init.shape, dtype=complex)
+    out[0] = init
+    out[1:, ..., _P] = step_powers(z1, T, grid.num_points - 1)[..., :p]
     return out

@@ -4,17 +4,16 @@ Everything here deliberately avoids the coefficient-space machinery: the
 four-atom master equation is built as a dense 256x256 superoperator, and
 the state is carried only on the components of vec rho that its sparsity
 pattern can reach from the initial support.  The Liouvillian does not
-depend on time, so one grid step is one fixed linear map; a generic
-adaptive Runge-Kutta method (DOP853, at RTOL and ATOL) integrates that map
-once from the identity, and it is then applied at every step.  The primary
-path evaluates closed forms in the entries of the 9x9 coefficient-space
-generator; this one uses neither that generator nor those formulas, but
-builds the dynamics from the Hamiltonian and the dissipator in Hilbert
-space and integrates it numerically, so a mistake in the generator, the
-response formulas or the X-state read-out shows up as a disagreement, and
-its error is Runge-Kutta truncation rather than the closed forms' rounding.
-Agreement between the two is the strongest correctness statement the
-package makes.
+depend on time, so one grid step is one fixed linear map, the numerical
+matrix exponential of that block times the step (scaling and squaring,
+Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970-989), and
+its powers give the state at every grid time.  The primary path evaluates
+closed forms in the entries of the 9x9 coefficient-space generator; this
+one uses neither that generator nor those formulas, but builds the
+dynamics from the Hamiltonian and the dissipator in Hilbert space and
+exponentiates it numerically, so a mistake in the generator, the response
+formulas or the X-state read-out shows up as a disagreement.  Agreement
+between the two is the strongest correctness statement the package makes.
 
 Also provides the Choi-matrix test of complete positivity for the reduced
 single-qubit maps.  For that purpose the dynamics factorizes into two
@@ -22,15 +21,11 @@ independent qubit + auxiliary-atom pairs, each living in a 4-dimensional
 Hilbert space.
 """
 
-import gc
-
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-from scipy.integrate import solve_ivp
 
 from .model import ModelParams, thermal_state
-from .propagator import TimeGrid
+from .propagator import TimeGrid, step_powers
 
 __all__ = [
     "build_full_liouvillian",
@@ -43,10 +38,6 @@ __all__ = [
     "subsystem_transfer_matrix",
     "apply_product_map",
 ]
-
-# DOP853 tolerances of the 16-dimensional integration
-RTOL = 1e-10
-ATOL = 1e-12
 
 # excited-first single-qubit operators
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # raising
@@ -135,38 +126,17 @@ def evolve_full(params: ModelParams, rho0: np.ndarray, grid: TimeGrid) -> np.nda
     map: rho(t + dt) = Phi(dt) rho(t).  Only the components reachable from
     the support of vec rho0 through the Liouvillian's sparsity pattern can
     leave zero (33 for a Bell state with cold auxiliary atoms, 68 with warm
-    ones); on those, DOP853 integrates Y' = L Y from Y(0) = I over one
-    step, at the module tolerances, and the resulting map is applied at
-    every step.  Every other component stays exactly 0.  The right-hand
-    side is the CSR form of that block, which keeps it off threaded BLAS.
+    ones); on those, Phi(dt) is expm of the Liouvillian block times dt, and
+    rho at grid time i is Phi(dt)^i rho0.  Every other component stays
+    exactly 0.
     """
     liouv = build_full_liouvillian(params)
     z0 = np.asarray(rho0, dtype=complex).reshape(256)
     reach = _reachable(liouv, z0 != 0)
-    block = scipy.sparse.csr_array(liouv[np.ix_(reach, reach)])
-    m = block.shape[0]
-    sol = solve_ivp(
-        lambda t, y: (block @ y.reshape(m, m)).reshape(m * m),
-        (0.0, grid.step),
-        np.eye(m, dtype=complex).reshape(m * m),
-        method="DOP853",
-        rtol=RTOL,
-        atol=ATOL,
-    )
-    # the solver refers to itself through its right-hand-side closure, so its
-    # (16, m*m) stage array (1.2 MB at m = 68) would stay resident until the
-    # next full collection; a young-generation collection (~20 us) frees it
-    gc.collect(1)
-    if not sol.success:
-        raise RuntimeError(f"full-space integration of one grid step failed: {sol.message}")
     # rows z_i = (vec rho(t_i))[reach], so z_{i+1} = z_i Phi^T
-    step_map = sol.y[:, -1].reshape(m, m).T.copy()
-    z = np.empty((grid.num_points, m), dtype=complex)
-    z[0] = z0[reach]
-    for i in range(grid.num_points - 1):
-        np.matmul(z[i], step_map, out=z[i + 1])
+    step_map = scipy.linalg.expm(liouv[np.ix_(reach, reach)] * grid.step).T
     out = np.zeros((grid.num_points, 256), dtype=complex)
-    out[:, reach] = z
+    out[:, reach] = step_powers(z0[reach], step_map, grid.num_points)
     return out.reshape(grid.num_points, 16, 16)
 
 
@@ -205,14 +175,14 @@ def choi_of_subsystem_map(params: ModelParams, k: int, t: float) -> np.ndarray:
     Entry (2i + a, 2j + b) is Phi(E_ij)[a, b], which the transfer matrix
     holds at (2a + b, 2i + j), so the Choi matrix is its reshuffle.
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
     transfer = subsystem_transfer_matrix(params, k, t)
     return transfer.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def subsystem_transfer_matrix(params: ModelParams, k: int, t: float) -> np.ndarray:
-    """4x4 matrix T with vec(Phi(X)) = T vec(X) for the reduced map at time t."""
+    """4x4 matrix T with vec(Phi(X)) = T vec(X) for the reduced map at time t >= 0."""
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and >= 0, got {t!r}")
     prop = scipy.linalg.expm(pair_liouvillian(params, k) * t)
     cols = []
     for i in range(2):

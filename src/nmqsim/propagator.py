@@ -67,6 +67,7 @@ __all__ = [
     "evolve_x_state",
     "responses",
     "slow_solution",
+    "step_powers",
     "x_state_from_responses",
 ]
 
@@ -109,6 +110,28 @@ class TimeGrid:
     @property
     def step(self) -> float:
         return self.t_end / (self.num_points - 1)
+
+
+def step_powers(first, step_map, n: int) -> np.ndarray:
+    """``first @ step_map**j`` for j = 0, ..., n - 1, stacked along a new first axis.
+
+    ``first`` is a row, a stack of rows or a matrix whose last axis matches
+    ``step_map``; the result has shape (n,) + first.shape.  With
+    E = step_map, the powers are filled by doubling,
+    first E^(m + j) = (first E^j) E^m, in about log2(n) batched products
+    rather than n - 1 single ones.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one power, got n = {n}")
+    first = np.asarray(first)
+    out = np.empty((n,) + first.shape, dtype=np.result_type(first, step_map))
+    out[0] = first
+    m, Em = 1, step_map
+    while m < n:
+        k = min(m, n - m)
+        out[m : m + k] = out[:k] @ Em
+        m, Em = m + k, Em @ Em
+    return out
 
 
 def _response_evaluator(generators):

@@ -521,10 +521,6 @@ def test_console_script_declaration():
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts == {"nmqsim": "nmqsim.cli:main"}
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     wrapper = (
         "import sys\n"
         "from importlib.metadata import EntryPoint\n"
@@ -533,7 +529,28 @@ def test_console_script_declaration():
         "sys.exit(main())\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", wrapper], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-c", wrapper], capture_output=True, text=True, timeout=60,
+        env=_source_env(),
     )
     assert proc.returncode == 0
     assert "fig2" in proc.stdout
+
+
+def _source_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+def test_package_does_not_load_scipy_integrate():
+    # a fresh interpreter, since this session's tests may import it themselves
+    probe = "import sys, nmqsim.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=_source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -164,6 +164,16 @@ def test_solver_input_validation():
         solve_nz(gen, bad, grid)
     with pytest.raises(ValueError):
         solve_nz(gen, good[:4], grid)
+    # a NaN off the slow subspace must not be dropped as if it were zero
+    for index in (2, 3, 4, 6, 8):
+        bad = good.copy()
+        bad[index] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solve_nz(gen, bad, grid)
+    bad = np.stack([good, good])
+    bad[1, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        solve_nz(gen, bad, grid)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])

@@ -13,6 +13,7 @@ from nmqsim.propagator import (
     TimeGrid,
     evolve_x_state,
     responses,
+    step_powers,
     x_state_from_responses,
 )
 from nmqsim.reconstruction import physicality_deviations, x_matrix
@@ -67,6 +68,25 @@ def test_grid_rejects_subnormal_step():
         with pytest.raises(ValueError, match="smallest normal float"):
             TimeGrid(t_end, 2001)
     assert TimeGrid(2000 * np.finfo(float).tiny, 2001).step >= np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("first", [
+    np.linspace(-1.0, 1.0, 5),  # one row
+    np.arange(15.0).reshape(3, 5) / 15.0 - 0.5j,  # a (k, m) stack of rows
+    np.eye(4, 5),  # a 4x5 matrix
+], ids=["row", "stack", "matrix"])
+def test_step_powers_match_sequential_products(first):
+    rng = np.random.default_rng(13)
+    step_map = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))) / 3.0
+    for n in (1, 2, 3, 7, 8, 9):
+        powers = step_powers(first, step_map, n)
+        assert powers.shape == (n,) + first.shape
+        expected = first.astype(complex)
+        for j in range(n):
+            assert np.abs(powers[j] - expected).max() <= 1e-14
+            expected = expected @ step_map
+    with pytest.raises(ValueError):
+        step_powers(first, step_map, 0)
 
 
 def test_time_zero_is_identity():
