@@ -12,6 +12,10 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or configuration error
 failure (an unhealthy run, memory exhaustion, or any other ValueError, such
 as an event crossing that Brent's method cannot bracket).  A sweep runs its
 points one after another on one thread.
+
+An event's ``precise`` flag is the library's only record of a crossing
+that the time grid did not resolve.  This module reports those flags, in
+one UserWarning per ``simulate`` or ``sweep`` run.
 """
 
 import argparse
@@ -63,22 +67,36 @@ def _scenario_from_args(args) -> Scenario:
     return parse_scenario(text)
 
 
+def _warn_grid_limited(limited: list, total: int, what: str) -> None:
+    """One warning for the run, naming the items the grid resolution limits."""
+    if limited:
+        warnings.warn(
+            f"{len(limited)} of {total} {what} a dead interval shorter than two grid "
+            "steps, so their crossing times are grid-resolution limited: "
+            + "; ".join(limited),
+            stacklevel=3,
+        )
+
+
 def cmd_simulate(args) -> int:
     scenario = _scenario_from_args(args)
     result = simulate(scenario.params, scenario.grid)
     events = extract_events(result.series, threshold=scenario.threshold)
+    _warn_grid_limited(
+        [f"{e.kind.value} at t={format_number(e.time)}" for e in events if not e.precise],
+        len(events),
+        "events border",
+    )
     out = Path(args.out)
     files = [out / "trajectory.csv", out / "events.csv"]
     try:
         out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(files[0], result)
         write_events_csv(files[1], events)
-        if scenario.svg or args.svg:
+        if args.svg:
             files.append(out / "trajectory.svg")
             write_svg(files[-1], result)
-        resolved = dataclasses.asdict(scenario)
-        del resolved["svg"]  # a plotting choice, not an input of the run
-        write_run_record(out / "run.json", resolved, files)
+        write_run_record(out / "run.json", dataclasses.asdict(scenario), files)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
     print(f"wrote {', '.join(str(f) for f in files)}")
@@ -88,10 +106,7 @@ def cmd_simulate(args) -> int:
 def _sweep_row(assignment, params, grid, threshold):
     """One sweep.csv row, and whether all of its crossing times are precise."""
     result = simulate(params, grid)
-    with warnings.catch_warnings():
-        # cmd_sweep names the grid-limited rows in one warning for the whole run
-        warnings.filterwarnings("ignore", "precursor recovered within two grid steps")
-        events = extract_events(result.series, threshold=threshold)
+    events = extract_events(result.series, threshold=threshold)
     final = next(
         (e.time for e in events if e.kind is EventKind.FINAL_DEATH), None
     )
@@ -114,13 +129,7 @@ def cmd_sweep(args) -> int:
         if not precise:
             named = ", ".join(f"{key}={value}" for key, value in zip(spec.axes, row))
             limited.append(named or "the only point")
-    if limited:
-        warnings.warn(
-            f"{len(limited)} of {len(rows)} sweep rows have a dead interval shorter than "
-            "two grid steps, so their crossing times are grid-resolution limited: "
-            + "; ".join(limited),
-            stacklevel=2,
-        )
+    _warn_grid_limited(limited, len(rows), "sweep rows have")
 
     out = Path(args.out)
     path = out / "sweep.csv"

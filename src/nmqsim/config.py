@@ -22,7 +22,10 @@ Keys and defaults:
     t_end        end of the time grid       default 10
     num_points   grid points                default 2001, at most GRID_CAP
     threshold    event detection threshold  default 1e-6, in (0, 1]
-    svg          also write an SVG plot     default false
+
+parse_sweep builds every point's parameters before it returns, so a bad
+value in any axis is a configuration error before the first point runs.
+Plots are a switch of the ``simulate`` command line, not a key.
 """
 
 import itertools
@@ -45,7 +48,7 @@ _PHYSICAL_KEYS = (
     "alpha1", "alpha2", "gamma", "nbar",
 )
 _GRID_KEYS = ("t_end", "num_points")
-_OTHER_KEYS = ("preset", "threshold", "svg")
+_OTHER_KEYS = ("preset", "threshold")
 _ALL_KEYS = _PHYSICAL_KEYS + _GRID_KEYS + _OTHER_KEYS
 
 _DELTA_KEYS = ("delta1", "delta2")
@@ -65,17 +68,32 @@ class Scenario:
     params: ModelParams
     grid: TimeGrid
     threshold: float = 1e-6
-    svg: bool = False
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Cross product of value lists over the physical keys."""
+    """Cross product of value lists over the physical keys.
+
+    Construction builds the ModelParams of every point, so an invalid
+    value or combination raises ConfigError before any point runs.
+    """
 
     axes: dict  # key -> list of float values, insertion-ordered
     fixed: dict  # key -> single float
     grid: TimeGrid
     threshold: float = 1e-6
+
+    def __post_init__(self):
+        if self.size() > SWEEP_CAP:
+            raise ConfigError(
+                f"sweep has {self.size()} points, more than the cap {SWEEP_CAP}"
+            )
+        keys = list(self.axes)
+        points = []
+        for combo in itertools.product(*(self.axes[k] for k in keys)):
+            assignment = dict(zip(keys, combo))
+            points.append((assignment, _build_params({**self.fixed, **assignment})))
+        object.__setattr__(self, "_points", points)
 
     def size(self) -> int:
         n = 1
@@ -84,13 +102,8 @@ class SweepSpec:
         return n
 
     def points(self):
-        """Yield (assignment dict, ModelParams) in deterministic order."""
-        keys = list(self.axes)
-        for combo in itertools.product(*(self.axes[k] for k in keys)):
-            assignment = dict(zip(keys, combo))
-            merged = dict(self.fixed)
-            merged.update(assignment)
-            yield assignment, _build_params(merged)
+        """Iterate (assignment dict, ModelParams) in deterministic order."""
+        return iter(self._points)
 
 
 def _parse_lines(text: str) -> dict:
@@ -214,12 +227,6 @@ def parse_scenario(text: str) -> Scenario:
     """Parse a single-run configuration."""
     pairs = _parse_lines(text)
     _check_forms(pairs)
-    svg = False
-    if "svg" in pairs:
-        lowered = pairs["svg"].lower()
-        if lowered not in ("true", "false"):
-            raise ConfigError("key 'svg' must be true or false", key="svg")
-        svg = lowered == "true"
     if "preset" in pairs:
         name = pairs["preset"]
         if name not in PRESETS:
@@ -247,7 +254,6 @@ def parse_scenario(text: str) -> Scenario:
         params=params,
         grid=_build_grid(pairs),
         threshold=_threshold(pairs),
-        svg=svg,
     )
 
 
@@ -256,8 +262,6 @@ def parse_sweep(text: str) -> SweepSpec:
     pairs = _parse_lines(text)
     if "preset" in pairs:
         raise ConfigError("sweeps take explicit parameters, not presets", key="preset")
-    if "svg" in pairs:
-        raise ConfigError("sweeps produce no plots", key="svg")
     _check_forms(pairs)
     axes = {}
     fixed = {}
@@ -269,14 +273,9 @@ def parse_sweep(text: str) -> SweepSpec:
             axes[key] = values
         else:
             fixed[key] = values[0]
-    spec = SweepSpec(
+    return SweepSpec(
         axes=axes,
         fixed=fixed,
         grid=_build_grid(pairs),
         threshold=_threshold(pairs),
     )
-    if spec.size() > SWEEP_CAP:
-        raise ConfigError(
-            f"sweep has {spec.size()} points, more than the cap {SWEEP_CAP}"
-        )
-    return spec

@@ -12,7 +12,6 @@ revival are detected.
 """
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -142,7 +141,9 @@ class EntanglementEvent:
     on the linear interpolant of the samples when the series has none.
     precise is False when the dead interval spans a single grid sample
     (sign pattern + - + across adjacent points), in which case the time
-    is only grid-resolution accurate.
+    is only grid-resolution accurate.  The flag is the library's only
+    record of such a crossing: nothing is warned, and callers that want
+    to report it read ``event.precise``.
     """
 
     kind: EventKind
@@ -233,26 +234,18 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
     crossing; the evaluator that simulate() provides is the grid's closed
     form at any time (see EntanglementSeries).
     brentq raises ValueError if the precursor takes the same sign at both
-    ends of a bracket.  A death interval shorter than two grid steps
-    triggers one coarse-grid warning per call, and the affected events
-    carry precise=False.
+    ends of a bracket.  The events of a death interval shorter than two
+    grid steps carry precise=False; no warning is raised.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
     s = np.asarray(series.precursor, dtype=float)
     t = series.grid.points
     fn = series.precursor_fn or (lambda u: np.interp(u, t, s))
-    scanned = _scan(s, threshold)
-    if not all(precise for *_, precise in scanned):
-        warnings.warn(
-            "precursor recovered within two grid steps of its death; "
-            "crossing times are grid-resolution limited",
-            stacklevel=2,
-        )
     # each crossing of level lies between samples i and i+1
     return [
         EntanglementEvent(
             kind, brentq(lambda u: fn(u) - level, t[i], t[i + 1], xtol=1e-10), precise
         )
-        for kind, i, level, precise in scanned
+        for kind, i, level, precise in _scan(s, threshold)
     ]

@@ -280,13 +280,16 @@ def evolve_x_state(generators, nbar: float, times):
 def slow_solution(generator, init, times) -> np.ndarray:
     """``exp(L t) c(0)`` on the slow indices 0, 1, 5, 7, shape (len(times), 9).
 
-    c(0) must vanish on the other indices.  Index 0 is stationary, index 1
-    scales by s(t), index 5 by u(t) and index 7 by conj(u(t)), because the
-    {7, 8} block is the complex conjugate of the {5, 6} block.
+    c(0) must be finite and vanish on the other indices.  Index 0 is
+    stationary, index 1 scales by s(t), index 5 by u(t) and index 7 by
+    conj(u(t)), because the {7, 8} block is the complex conjugate of the
+    {5, 6} block.
     """
     init = np.asarray(init, dtype=complex)
     if init.shape != (9,) or np.any(init[list(Q_INDICES)]):
         raise ValueError("initial vector must have 9 components, zero off indices 0, 1, 5, 7")
+    if not np.isfinite(init).all():
+        raise ValueError("initial vector must be finite")
     s, u = responses(generator, times)
     out = np.zeros((s.size, 9), dtype=complex)
     out[:, 0] = init[0]

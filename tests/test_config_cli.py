@@ -53,7 +53,6 @@ def test_scenario_defaults():
     assert sc.params.nbar == 0.0
     assert sc.grid.t_end == 10.0 and sc.grid.num_points == 2001
     assert sc.threshold == 1e-6
-    assert not sc.svg
 
 
 def test_scenario_parsing():
@@ -65,7 +64,6 @@ gamma = 0.25
 t_end = 4
 num_points = 401
 threshold = 1e-5
-svg = true
 """
     sc = parse_scenario(text)
     assert sc.params.alpha1 == 2.5 and sc.params.alpha2 == 2.5
@@ -73,7 +71,10 @@ svg = true
     assert sc.params.omega3 == pytest.approx(9.0)
     assert sc.grid.t_end == 4.0 and sc.grid.num_points == 401
     assert sc.threshold == 1e-5
-    assert sc.svg
+    # plots are the --svg switch of simulate, not a scenario key
+    with pytest.raises(ConfigError) as err:
+        parse_scenario("svg = true\n")
+    assert err.value.key == "svg"
 
 
 def test_scenario_with_preset_key():
@@ -134,6 +135,12 @@ def test_sweep_errors():
         parse_sweep("svg = true\n")
     with pytest.raises(ConfigError):
         parse_sweep("t_end = 1, 2\n")  # grid keys are not sweep axes
+    # an invalid value in an outer axis fails at parse time, not when reached
+    with pytest.raises(ConfigError, match="gamma must be >= 0"):
+        parse_sweep("gamma = 0.5, -1\nnbar = 0:1:400\n")
+    # so does a combination whose values are each valid on their own
+    with pytest.raises(ConfigError, match="omega3 must be finite"):
+        parse_sweep("omega1 = 1, 1e308\ndelta1 = 0, -1e308\n")
     big = "alpha1 = 0:1:50\ngamma = 0.1:1:50\nnbar = 0:1:50\n"
     with pytest.raises(ConfigError, match="cap"):
         parse_sweep(big)
@@ -180,8 +187,8 @@ def test_simulate_preset_flag_and_events(tmp_path):
 
 def test_simulate_svg(tmp_path):
     out = tmp_path / "svg"
-    cfg = write_config(tmp_path, "preset = fig2\nnum_points = 101\nsvg = true\n")
-    assert main(["simulate", cfg, "--out", str(out)]) == 0
+    cfg = write_config(tmp_path, "preset = fig2\nnum_points = 101\n")
+    assert main(["simulate", cfg, "--out", str(out), "--svg"]) == 0
     svg = (out / "trajectory.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
 
@@ -289,6 +296,17 @@ def test_grid_cap_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr("nmqsim.cli.simulate", never)
     cfg = write_config(tmp_path, text)
     assert main(["simulate", cfg, "--out", str(tmp_path / "big")]) == 2
+
+
+def test_sweep_checks_every_point_before_running(tmp_path, monkeypatch):
+    def never(*_args):
+        raise AssertionError("a point ran before the sweep was checked")
+
+    monkeypatch.setattr("nmqsim.cli.simulate", never)
+    cfg = write_config(tmp_path, "gamma = 0.5, -1\nnbar = 0:1:400\nnum_points = 401\n")
+    out = tmp_path / "bad"
+    assert main(["sweep", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_memory_error_exit_code(tmp_path, monkeypatch):
@@ -478,6 +496,21 @@ def test_sweep_names_grid_limited_rows(tmp_path):
     cfg = write_config(tmp_path, "alpha1 = 3\nnum_points = 101\n", "one.cfg")
     with pytest.warns(UserWarning, match="limited: the only point$"):
         assert main(["sweep", cfg, "--out", str(tmp_path / "one")]) == 0
+
+
+def test_simulate_names_grid_limited_events(tmp_path):
+    cfg = write_config(tmp_path, "alpha1 = 3\nnum_points = 101\n")
+    out = tmp_path / "coarse"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", cfg, "--out", str(out)]) == 0
+    assert len(caught) == 1 and caught[0].category is UserWarning
+    message = str(caught[0].message)
+    assert message.startswith("2 of 7 events ")
+    rows = [ln.split(",") for ln in (out / "events.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 7
+    named = [f"{kind} at t={time}" for kind, time, precise in rows if precise == "false"]
+    assert message.split(": ", 1)[1].split("; ") == named and len(named) == 2
 
 
 def test_verify_quick(capsys):

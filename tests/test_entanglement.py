@@ -299,9 +299,11 @@ def test_starting_dead_emits_no_initial_death():
     assert [e.kind for e in events] == [EventKind.REVIVAL]
 
 
-def test_single_sample_dip_warns_and_flags():
+def test_single_sample_dip_flags_without_warning():
+    # the flags are the library's record; the command line does the warning
     s = np.array([0.5, 0.4, 1e-9, 0.4, 0.5])
-    with pytest.warns(UserWarning, match="within two grid steps"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         events = extract_events(make_series(4.0, s))
     assert [e.kind for e in events] == [EventKind.DEATH, EventKind.REVIVAL]
     assert not events[0].precise
@@ -361,21 +363,10 @@ def test_vectorised_scan_equals_scalar_scan(values):
     expected = scalar_scan(s, 1e-4)
     assert [(kind, i, precise) for kind, i, _, precise in _scan(s, 1e-4)] == expected
     # extract_events takes the same brackets: chord times lie inside them
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        events = extract_events(make_series(len(s) - 1.0, s), threshold=1e-4)
+    events = extract_events(make_series(len(s) - 1.0, s), threshold=1e-4)
     assert [(e.kind, e.precise) for e in events] == [(k, p) for k, _, p in expected]
     for event, (_, i, _) in zip(events, expected):
         assert i <= event.time <= i + 1
-
-
-def test_coarse_grid_warning_once_per_call():
-    s = np.array([0.5, 1e-9, 0.5, 0.5, 1e-9, 0.5, 0.5])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        events = extract_events(make_series(6.0, s))
-    assert len(caught) == 1 and "within two grid steps" in str(caught[0].message)
-    assert [e.precise for e in events] == [False] * 4
 
 
 def test_bisection_uses_continuous_precursor():

@@ -176,6 +176,26 @@ def test_solver_input_validation():
         solve_nz(gen, bad, grid)
 
 
+def test_slow_solution_input_validation():
+    # the reference the solve is checked against takes the same input rules
+    params, gen, grid = kernel_setup("fig2", 1.0, 101)
+    good = initial_coefficients(InitialTerm.EE, params.nbar)
+    assert np.isfinite(slow_solution(gen, good, grid.points)).all()
+    for index in (0, 1, 5, 7):
+        for value in (np.nan, np.inf):
+            bad = good.copy()
+            bad[index] = value
+            with pytest.raises(ValueError, match="finite"):
+                slow_solution(gen, bad, grid.points)
+    bad = good.copy()
+    bad[2] = 0.1  # support outside the slow subspace
+    with pytest.raises(ValueError, match="zero off"):
+        slow_solution(gen, bad, grid.points)
+    for shape_bad in (good[:4], np.stack([good, good])):
+        with pytest.raises(ValueError, match="9 components"):
+            slow_solution(gen, shape_bad, grid.points)
+
+
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
 def test_kernel_rejects_bad_step(step):
     _, gen, _ = kernel_setup("fig2")

@@ -1,9 +1,10 @@
-"""The README documents every public name of the package."""
+"""The README documents every public name of the package and every scenario key."""
 
 import re
 from pathlib import Path
 
 import nmqsim
+from nmqsim import config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +24,11 @@ def test_readme_library_example_runs(capsys):
     assert lines[0].startswith("[1.")
     assert len(lines) > 1 and all(line.split()[0] in {"DEATH", "REVIVAL", "FINAL_DEATH"}
                                   for line in lines[1:])
+
+
+def test_readme_scenario_table_lists_every_key():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Scenario files"):text.index("### Outputs")]
+    first_cells = [ln.split("|")[1] for ln in section.splitlines() if ln.startswith("| `")]
+    documented = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(documented) == sorted(config._ALL_KEYS)
