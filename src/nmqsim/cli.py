@@ -9,9 +9,9 @@ Subcommands:
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or configuration error
 (an output directory or file that cannot be written included), 3 numerical
-failure (an unhealthy run, memory exhaustion, or any other ValueError, such
-as an event crossing that Brent's method cannot bracket).  A sweep runs its
-points one after another on one thread.
+failure (an unhealthy run, memory exhaustion, or any other ValueError or
+RuntimeError, such as a crossing the event refinement cannot bracket).  A
+sweep runs its points one after another on one thread.
 
 An event's ``precise`` flag is the library's only record of a crossing
 that the time grid did not resolve.  This module reports those flags, in

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import xlogy
 
 from .model import ModelParams
@@ -137,8 +136,9 @@ class EntanglementEvent:
     """A zero-crossing event of the entanglement precursor.
 
     time is the crossing between two adjacent grid samples, refined to
-    1e-10 by Brent's method on the series' continuous-time precursor, or
-    on the linear interpolant of the samples when the series has none.
+    1e-10 by Illinois false position on the series' continuous-time
+    precursor, or on the linear interpolant of the samples when the series
+    has none.
     precise is False when the dead interval spans a single grid sample
     (sign pattern + - + across adjacent points), in which case the time
     is only grid-resolution accurate.  The flag is the library's only
@@ -155,19 +155,21 @@ class EntanglementEvent:
 class EntanglementSeries:
     """Concurrence, precursor and EoF sampled on a time grid.
 
-    precursor_fn, when provided, evaluates the same precursor at arbitrary
-    times; event extraction refines crossing times on it by Brent's method
-    (xtol 1e-10), and on the linear interpolant of the samples without
-    it.  The one :func:`~nmqsim.pipeline.simulate` builds
+    precursor_fn, when provided, evaluates the same precursor at an array
+    of arbitrary times and returns an array of the same shape; a
+    scalar-only callable such as ``math.cos`` does not work.  Event
+    extraction refines every crossing time on it at once (see
+    :func:`extract_events`), and on the linear interpolant of the samples
+    without it.  The one :func:`~nmqsim.pipeline.simulate` builds
     evaluates the same closed-form responses as the grid at the requested
-    time, with their constants computed once per run.
+    times, with their constants computed once per run.
     """
 
     grid: TimeGrid
     concurrence: np.ndarray
     precursor: np.ndarray
     eof: np.ndarray
-    precursor_fn: Optional[Callable[[float], float]] = field(
+    precursor_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
 
@@ -228,24 +230,61 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
     FINAL_DEATH.
 
     The brackets come from a scan with no Python loop over samples (see
-    _scan).  Crossing times are refined to 1e-10 by Brent's method
-    (brentq) on series.precursor_fn when available, otherwise on the
-    linear interpolant of the samples, where it finds the chord's
-    crossing; the evaluator that simulate() provides is the grid's closed
-    form at any time (see EntanglementSeries).
-    brentq raises ValueError if the precursor takes the same sign at both
-    ends of a bracket.  The events of a death interval shorter than two
-    grid steps carry precise=False; no warning is raised.
+    _scan).  All crossing times are refined together (see _refine) on
+    series.precursor_fn when available, otherwise on the linear
+    interpolant of the samples, where they land on the chord's crossing;
+    the evaluator that simulate() provides is the grid's closed form at
+    any time (see EntanglementSeries).  A bracket whose ends take the same
+    sign, or a non-finite precursor value, raises ValueError, and a
+    crossing not found in 100 steps raises RuntimeError.  The events of a
+    death interval shorter than two grid steps carry precise=False; no
+    warning is raised.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
     s = np.asarray(series.precursor, dtype=float)
     t = series.grid.points
     fn = series.precursor_fn or (lambda u: np.interp(u, t, s))
-    # each crossing of level lies between samples i and i+1
-    return [
-        EntanglementEvent(
-            kind, brentq(lambda u: fn(u) - level, t[i], t[i + 1], xtol=1e-10), precise
-        )
-        for kind, i, level, precise in _scan(s, threshold)
-    ]
+    events = _scan(s, threshold)
+    if not events:
+        return []
+    kinds, i, levels, precise = zip(*events)
+    # each crossing of its level lies between samples i and i+1
+    i = np.array(i)
+    times = _refine(fn, t[i], t[i + 1], np.array(levels))
+    return [EntanglementEvent(*event) for event in zip(kinds, times.tolist(), precise)]
+
+
+def _refine(fn, a, b, level):
+    """Root of fn - level in each bracket [a, b], by Illinois false position.
+
+    Every step calls fn once, on an array holding every bracket (Dowell and
+    Jarratt, BIT 11 (1971) 168-174).  The stopping rule is that of Brent's
+    method with xtol 1e-10 and rtol 4 eps: a bracket is done on an exact
+    zero or once |b - a| <= 1e-10 + 4 eps |b|, where b is its latest point.
+    Done brackets take no step and keep their values.
+    """
+    fa, fb = np.split(_finite(fn(np.concatenate((a, b))) - np.tile(level, 2)), 2)
+    if np.any(np.sign(fa) * np.sign(fb) > 0.0):
+        raise ValueError("the precursor takes the same sign at both ends of a bracket")
+    # an end on the level is the root
+    b, fb = np.where(fa == 0.0, a, b), np.where(fa == 0.0, 0.0, fb)
+    for _ in range(100):
+        active = (fb != 0.0) & (np.abs(b - a) > 1e-10 + 4.0 * np.finfo(float).eps * np.abs(b))
+        if not active.any():
+            return b
+        step = np.divide(fb * (b - a), fb - fa, out=np.zeros_like(b), where=active)
+        # rounding can put the false-position point just outside the bracket
+        c = np.clip(b - step, np.minimum(a, b), np.maximum(a, b))
+        fc = _finite(fn(c) - level)
+        # keep the end across the root from c; halve its value if it is kept again
+        flip = (fc > 0.0) != (fb > 0.0)
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb = c, np.where(active, fc, fb)
+    raise RuntimeError("event refinement did not converge in 100 steps")
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("the precursor is not finite inside a bracket")
+    return values

@@ -54,12 +54,6 @@ def _embed(op: np.ndarray, site: int, nsites: int) -> np.ndarray:
     return out
 
 
-def _commutator_superop(h: np.ndarray) -> np.ndarray:
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-
-
 def _thermal_dissipator(lower: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
     """gamma(nbar+1)(2 L rho L+ - L+L rho - rho L+L) + gamma nbar (raising analogue)."""
     d = lower.shape[0]
@@ -72,27 +66,29 @@ def _thermal_dissipator(lower: np.ndarray, gamma: float, nbar: float) -> np.ndar
     return gamma * (nbar + 1.0) * down + gamma * nbar * up
 
 
+def _liouvillian(params: ModelParams, pairs, nsites: int) -> np.ndarray:
+    """Dense superoperator on nsites atoms for each (k, qubit site, auxiliary site) in pairs.
+
+    Qubit k and its auxiliary atom exchange an excitation at rate alpha_k,
+    and each auxiliary atom is damped by its thermal reservoir.
+    """
+    eye = np.eye(2**nsites, dtype=complex)
+    h = np.zeros_like(eye)
+    for k, qubit, aux in pairs:
+        h += params.qubit_frequency(k) * _embed(_NUM, qubit, nsites)
+        h += params.auxiliary_frequency(k) * _embed(_NUM, aux, nsites)
+        hop = _embed(_SP, qubit, nsites) @ _embed(_SM, aux, nsites)
+        h += params.coupling(k) * (hop + hop.T)
+    # vec(h rho - rho h) = (h (x) 1 - 1 (x) h^T) vec rho, row-major vec
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + sum(
+        _thermal_dissipator(_embed(_SM, aux, nsites), params.gamma, params.nbar)
+        for _, _, aux in pairs
+    )
+
+
 def build_full_liouvillian(params: ModelParams) -> np.ndarray:
     """Dense superoperator of the four-atom master equation (256x256)."""
-    h = np.zeros((16, 16), dtype=complex)
-    for site in (1, 2, 3, 4):
-        freq = (
-            params.qubit_frequency(site)
-            if site <= 2
-            else params.auxiliary_frequency(site - 2)
-        )
-        h += freq * _embed(_NUM, site, 4)
-    for k, partner in ((1, 3), (2, 4)):
-        h += params.coupling(k) * (
-            _embed(_SP, k, 4) @ _embed(_SM, partner, 4)
-            + _embed(_SM, k, 4) @ _embed(_SP, partner, 4)
-        )
-    liouv = _commutator_superop(h)
-    for partner in (3, 4):
-        liouv += _thermal_dissipator(
-            _embed(_SM, partner, 4), params.gamma, params.nbar
-        )
-    return liouv
+    return _liouvillian(params, [(1, 1, 3), (2, 2, 4)], 4)
 
 
 def bell_state() -> np.ndarray:
@@ -152,14 +148,7 @@ def pair_liouvillian(params: ModelParams, k: int) -> np.ndarray:
     """Superoperator for one qubit + auxiliary-atom pair (16x16)."""
     if k not in (1, 2):
         raise ValueError("subsystem index must be 1 or 2")
-    h = params.qubit_frequency(k) * _embed(_NUM, 1, 2)
-    h += params.auxiliary_frequency(k) * _embed(_NUM, 2, 2)
-    h += params.coupling(k) * (
-        _embed(_SP, 1, 2) @ _embed(_SM, 2, 2) + _embed(_SM, 1, 2) @ _embed(_SP, 2, 2)
-    )
-    liouv = _commutator_superop(h)
-    liouv += _thermal_dissipator(_embed(_SM, 2, 2), params.gamma, params.nbar)
-    return liouv
+    return _liouvillian(params, [(k, 1, 2)], 2)
 
 
 def _apply_pair_map(propagator: np.ndarray, op: np.ndarray, nbar: float) -> np.ndarray:

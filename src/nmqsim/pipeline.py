@@ -4,8 +4,8 @@ This is the path the CLI drives.  Each qubit enters only through its two
 scalar responses s_k and u_k (see :mod:`nmqsim.propagator`), closed forms
 that give the X-state components at any time, not just on the sample grid.
 The continuous-time precursor used to refine event times calls the grid's
-response evaluator, whose constants are computed once per run, at its own
-time and builds the X state with the same formula as the grid,
+response evaluator, whose constants are computed once per run, on an array
+of times and builds the X state with the same formula as the grid,
 :func:`~nmqsim.propagator.x_state_from_responses`.
 """
 
@@ -74,10 +74,10 @@ def simulate(params: ModelParams, grid: TimeGrid) -> SimulationResult:
         a, b, c, d, f = x_state_from_responses(s1, u1, s2, u2, params.nbar)
     _check_health(a, b, c, d, f)
 
-    def precursor_at(t: float) -> float:
-        (s1, s2), (u1, u2) = (x.ravel().tolist() for x in responses_at(t))
+    def precursor_at(t: np.ndarray) -> np.ndarray:
+        (s1, s2), (u1, u2) = responses_at(t)
         _, bt, ct, _, ft = x_state_from_responses(s1, u1, s2, u2, params.nbar)
-        return float(precursor_from_components(bt, ct, ft))
+        return precursor_from_components(bt, ct, ft)
 
     prec = precursor_from_components(b, c, f)
     conc = np.clip(prec, 0.0, 1.0)

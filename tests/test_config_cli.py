@@ -513,6 +513,40 @@ def test_simulate_names_grid_limited_events(tmp_path):
     assert message.split(": ", 1)[1].split("; ") == named and len(named) == 2
 
 
+def test_late_death_is_refined_at_its_ulp(tmp_path):
+    # one ulp at t = 789639 is 1.16e-10, so only the relative term of the
+    # stopping rule, 4 eps |t|, lets the refinement of this death finish
+    cfg = write_config(
+        tmp_path,
+        "delta1 = 0\nalpha1 = 0.0007\ngamma = 0.5\nnbar = 0.2\n"
+        "t_end = 4e6\nnum_points = 2001\n",
+    )
+    assert main(["simulate", cfg, "--out", str(tmp_path / "late")]) == 0
+    rows = (tmp_path / "late" / "events.csv").read_text().splitlines()
+    assert rows[1:] == ["FINAL_DEATH,789639.302275,true"]
+
+
+@pytest.mark.parametrize(
+    "precursor, message",
+    [
+        (lambda u: np.full(np.shape(u), 0.5), "same sign"),
+        (lambda u: np.full(np.shape(u), np.nan), "not finite"),
+    ],
+    ids=["no-crossing", "nan"],
+)
+def test_unrefinable_crossing_exits_3(tmp_path, monkeypatch, capsys, precursor, message):
+    def broken(params, grid):
+        result = simulate(params, grid)
+        object.__setattr__(result.series, "precursor_fn", precursor)
+        return result
+
+    monkeypatch.setattr("nmqsim.cli.simulate", broken)
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "fig3", "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_quick(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
@@ -578,12 +612,23 @@ def _source_env():
     return env
 
 
-def test_package_does_not_load_scipy_integrate():
-    # a fresh interpreter, since this session's tests may import it themselves
-    probe = "import sys, nmqsim.cli; print('scipy.integrate' in sys.modules)"
+def loaded_scipy_modules(code, *args):
+    """The unused scipy subpackages in sys.modules after running code in a fresh interpreter."""
+    unused = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+    probe = f"import sys\n{code}\nprint([name for name in {unused!r} if name in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True, timeout=60,
         env=_source_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_package_does_not_load_scipy_integrate():
+    # a fresh interpreter, since this session's tests may import them themselves
+    assert loaded_scipy_modules("import nmqsim.cli") == "[]"
+
+
+def test_simulate_does_not_load_unused_scipy(tmp_path):
+    code = "from nmqsim import cli\ncli.main(['simulate', '--preset', 'fig3', '--out', sys.argv[1]])"
+    assert loaded_scipy_modules(code, str(tmp_path)) == "[]"

@@ -380,7 +380,7 @@ def test_bisection_uses_continuous_precursor():
     assert events[0].time == pytest.approx(np.sqrt(0.25 - 1e-6), abs=1e-8)
 
 
-def test_brent_refines_crossings_to_1e_10():
+def test_refinement_finds_crossings_to_1e_10():
     # smooth oscillation with closed-form crossings of both levels; a
     # bisection stopped at a 1e-8 bracket lands up to 5e-9 away
     fn = lambda u: 0.3 * np.cos(2.0 * u) + 0.05  # noqa: E731
@@ -393,21 +393,93 @@ def test_brent_refines_crossings_to_1e_10():
     assert abs(events[1].time - revival) <= 1e-10
 
 
-def test_fig3_precursor_calls_per_event():
-    result = simulate(preset_params("fig3"), default_grid())
-    series = result.series
+def test_fig3_refinement_calls():
+    # one call on both ends of every bracket, then one per step on every bracket
+    series = simulate(preset_params("fig3"), default_grid()).series
     inner = series.precursor_fn
     calls = []
 
     def counting(u):
-        calls.append(u)
+        calls.append(np.shape(u))
         return inner(u)
 
     # the series is frozen; swap in a counting evaluator
     object.__setattr__(series, "precursor_fn", counting)
     events = extract_events(series)
     assert len(events) == 9
-    assert len(calls) <= 10 * len(events)
+    assert len(calls) <= 12
+    assert calls[0] == (18,) and all(shape == (9,) for shape in calls[1:])
+
+
+def test_bracket_end_on_the_level_is_returned_exactly():
+    # the death level 1e-4 at sample 1 and the revival level 0.01 at
+    # sample 4: both crossings sit exactly on the left end of their bracket.
+    # A false-position step from the death bracket's right end rounds to
+    # 1.4e-17 right of t[1].  Both brackets are done before the last one,
+    # from sample 5 to 6, takes its first step
+    threshold = 1e-4
+    s = [0.5, threshold, -0.45, -0.45, float(np.sqrt(threshold)), 0.5, -0.3]
+    series = make_series(0.7, s)
+    t = series.grid.points
+    events = extract_events(series, threshold=threshold)
+    assert [(e.kind, e.time, e.precise) for e in events[:2]] == [
+        (EventKind.DEATH, t[1], True), (EventKind.REVIVAL, t[4], True),
+    ]
+    assert events[2].kind is EventKind.FINAL_DEATH
+    assert events[2].time == pytest.approx(t[5] + (0.5 - threshold) / 0.8 * (t[6] - t[5]), abs=1e-12)
+    # the case hypothesis found: the first sample is dead, the second on the level
+    events = extract_events(make_series(2.0, [0.0, 0.01, 0.5]), threshold=threshold)
+    assert [(e.kind, e.time) for e in events] == [(EventKind.REVIVAL, 1.0)]
+
+
+def test_refined_time_stays_inside_its_bracket():
+    # sample 1 lies one ulp above the death level, so the first
+    # false-position point rounds to 2.8e-17 left of t[1]
+    s = [0.5, np.nextafter(1e-4, 1.0)] + [-0.2] * 5
+    series = make_series(1.3, s)
+    t = series.grid.points
+    (event,) = extract_events(series, threshold=1e-4)
+    assert event.kind is EventKind.FINAL_DEATH
+    assert t[1] <= event.time <= t[2]
+
+
+def bracketed_series(fn):
+    # the samples of 0.3 cos(2t) + 0.05 die near t = 0.7 and revive near 2.4
+    t = np.linspace(0.0, 3.0, 31)
+    return make_series(3.0, 0.3 * np.cos(2.0 * t) + 0.05, fn=fn)
+
+
+def test_refinement_rejects_a_precursor_without_a_crossing():
+    with pytest.raises(ValueError, match="same sign"):
+        extract_events(bracketed_series(lambda u: np.full(np.shape(u), 0.5)))
+
+
+def test_refinement_rejects_a_nan_precursor():
+    # finite at every sample, NaN strictly inside each bracket
+    smooth = lambda u: 0.3 * np.cos(2.0 * u) + 0.05  # noqa: E731
+    grid = np.linspace(0.0, 3.0, 31)
+    on_grid = lambda u: np.isclose(u[:, None], grid).any(axis=1)  # noqa: E731
+    with pytest.raises(ValueError, match="not finite"):
+        extract_events(bracketed_series(lambda u: np.where(on_grid(u), smooth(u), np.nan)))
+    # infinite at the samples, so at the ends of each bracket
+    with pytest.raises(ValueError, match="not finite"):
+        extract_events(bracketed_series(lambda u: np.where(on_grid(u), np.inf, smooth(u))))
+
+
+def test_refinement_stops_after_100_steps():
+    # a jump so lopsided that false position stays on the right end of
+    # [0.2, 0.4]: halving the left value 100 times leaves the step below an ulp
+    calls = []
+
+    def jump(u):
+        calls.append(u)
+        return np.where(u < 0.3, 1e300, 0.0)
+
+    series = make_series(1.0, [0.5, 0.5, -0.5, -0.5, -0.5, -0.5], fn=jump)
+    with pytest.raises(RuntimeError, match="100 steps"):
+        extract_events(series)
+    # one call on the bracket's ends, then one per step
+    assert len(calls) == 101
 
 
 # event times frozen from an adaptive high-accuracy integration of the
@@ -442,7 +514,9 @@ PRESET_EVENTS = {
 @pytest.mark.parametrize("name", sorted(PRESET_EVENTS))
 def test_preset_event_times(name):
     result = simulate(preset_params(name), default_grid())
-    events = extract_events(result.series)
+    # no overflow, underflow, 0/0 or invalid operation anywhere in the refinement
+    with np.errstate(all="raise"):
+        events = extract_events(result.series)
     expected = PRESET_EVENTS[name]
     assert [e.kind.value for e in events] == [k for k, _ in expected]
     for event, (_, t_ref) in zip(events, expected):

@@ -69,6 +69,66 @@ def test_thermal_product_is_stationary_without_coupling():
     assert np.abs(L @ rho.reshape(-1)).max() < 1e-14
 
 
+def explicit_liouvillian(params, sites):
+    """The four-atom (or one-pair) master equation written out term by term.
+
+    ``sites`` maps qubit k to its (qubit site, auxiliary site); factor order
+    follows the site numbers, excited state first.
+    """
+    nsites = 2 * len(sites)
+    dim = 2**nsites
+
+    def on(op, site):
+        out = np.ones((1, 1))
+        for n in range(1, nsites + 1):
+            out = np.kron(out, op if n == site else np.eye(2))
+        return out
+
+    def left(op):  # vec(op rho) = (op (x) 1) vec rho, row-major vec
+        return np.kron(op, np.eye(dim))
+
+    def right(op):  # vec(rho op) = (1 (x) op^T) vec rho
+        return np.kron(np.eye(dim), op.T)
+
+    num = np.diag([1.0, 0.0])
+    h = np.zeros((dim, dim))
+    for k, (qubit, aux) in sites.items():
+        h = h + params.qubit_frequency(k) * on(num, qubit)
+    for k, (qubit, aux) in sites.items():
+        h = h + params.auxiliary_frequency(k) * on(num, aux)
+    for k, (qubit, aux) in sites.items():
+        h = h + params.coupling(k) * (on(SP, qubit) @ on(SM, aux) + on(SM, qubit) @ on(SP, aux))
+    liouv = -1j * (left(h) - right(h))
+    for _, aux in sites.values():
+        for lower, rate in ((on(SM, aux), params.nbar + 1.0), (on(SP, aux), params.nbar)):
+            upper = lower.T
+            liouv = liouv + params.gamma * rate * (
+                2.0 * left(lower) @ right(upper) - left(upper @ lower) - right(upper @ lower)
+            )
+    return liouv
+
+
+def test_liouvillians_match_explicit_construction():
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        params = ModelParams(
+            omega1=rng.uniform(0.5, 20.0), omega2=rng.uniform(0.5, 20.0),
+            omega3=rng.uniform(0.5, 20.0), omega4=rng.uniform(0.5, 20.0),
+            alpha1=rng.uniform(-3.0, 3.0), alpha2=rng.uniform(-3.0, 3.0),
+            gamma=rng.uniform(0.1, 5.0), nbar=rng.uniform(0.0, 2.0),
+        )
+        for built, expected in (
+            (build_full_liouvillian(params), explicit_liouvillian(params, {1: (1, 3), 2: (2, 4)})),
+            (pair_liouvillian(params, 1), explicit_liouvillian(params, {1: (1, 2)})),
+            (pair_liouvillian(params, 2), explicit_liouvillian(params, {2: (1, 2)})),
+        ):
+            assert built.shape == expected.shape
+            assert np.abs(built - expected).max() <= 1e-14 * np.abs(expected).max()
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="subsystem index"):
+            pair_liouvillian(params, k)
+
+
 def test_bell_state_matrix():
     bell = bell_state()
     assert bell.shape == (4, 4)
