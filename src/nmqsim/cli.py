@@ -59,6 +59,7 @@ def _scenario_from_args(args) -> Scenario:
     if args.config is not None and args.preset is not None:
         raise ConfigError("give either a config file or --preset, not both")
     if args.preset is not None:
+        # input validation, not a duplicate: "fig3 # x" would read as "preset = fig3"
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}", key="preset")
         text = f"preset = {args.preset}\n"
@@ -144,10 +145,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.level == "quick":
-        results = run_quick(corrupt=args.corrupt_generator)
-    else:
-        results = run_full(corrupt=args.corrupt_generator, fast=args.fast)
+    results = run_quick() if args.level == "quick" else run_full(fast=args.fast)
     failures = 0
     for res in results:
         print(res.line())
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="quick: primary-path invariants; full: adds the independent oracles",
     )
     p_ver.add_argument("--fast", action="store_true", help=argparse.SUPPRESS)
-    p_ver.add_argument("--corrupt-generator", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
 
     p_list = sub.add_parser("list-presets", help="show the built-in parameter table")

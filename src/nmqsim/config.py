@@ -23,9 +23,15 @@ Keys and defaults:
     num_points   grid points                default 2001, at most GRID_CAP
     threshold    event detection threshold  default 1e-6, in (0, 1]
 
-parse_sweep builds every point's parameters before it returns, so a bad
-value in any axis is a configuration error before the first point runs.
-Plots are a switch of the ``simulate`` command line, not a key.
+Both file kinds go through one reader: a scenario is a sweep of one
+point.  It parses every value of every physical key before it checks how
+many values a key has, so a file with a bad value and a value list names
+the bad value whichever command reads it.  A scenario then takes one value
+per key, and a preset file none; a sweep splits the keys into axes (several
+values) and fixed keys (one).  parse_sweep builds every point's
+parameters before it returns, so a bad value in any axis is a
+configuration error before the first point runs.  Plots are a switch of
+the ``simulate`` command line, not a key.
 """
 
 import itertools
@@ -132,7 +138,8 @@ def _parse_float(key: str, text: str) -> float:
         raise ConfigError(f"key {key!r}: {text!r} is not a number", key=key) from None
     if not np.isfinite(value):
         raise ConfigError(f"key {key!r} must be finite", key=key)
-    return value
+    # -0.0 + 0.0 is +0.0: a "-0" spelling must resolve, and hash, like "0"
+    return value + 0.0
 
 
 def _parse_values(key: str, text: str) -> list:
@@ -168,26 +175,28 @@ def _check_forms(pairs: dict):
         )
 
 
+def _physical_values(pairs: dict) -> dict:
+    """The parsed value list of every physical key the file sets, in key order."""
+    return {key: _parse_values(key, pairs[key]) for key in _PHYSICAL_KEYS if key in pairs}
+
+
 def _build_params(values: dict) -> ModelParams:
     omega1 = values.get("omega1", 10.0)
     omega2 = values.get("omega2", omega1)
-    alpha1 = values.get("alpha1", 1.0)
-    alpha2 = values.get("alpha2", alpha1)
-    gamma = values.get("gamma", 0.5)
-    nbar = values.get("nbar", 0.0)
-    try:
-        if "omega3" in values or "omega4" in values:
-            omega3 = values.get("omega3", omega1)
-            omega4 = values.get("omega4", omega3)
-            return ModelParams(
-                omega1=omega1, omega2=omega2, omega3=omega3, omega4=omega4,
-                alpha1=alpha1, alpha2=alpha2, gamma=gamma, nbar=nbar,
-            )
+    if "omega3" in values or "omega4" in values:
+        omega3 = values.get("omega3", omega1)
+        omega4 = values.get("omega4", omega3)
+    else:
+        # omega_{k+2} = omega_k - delta_k, as in ModelParams.from_detunings
         delta1 = values.get("delta1", 0.0)
-        delta2 = values.get("delta2", delta1)
-        return ModelParams.from_detunings(
-            omega1=omega1, omega2=omega2, delta1=delta1, delta2=delta2,
-            alpha1=alpha1, alpha2=alpha2, gamma=gamma, nbar=nbar,
+        omega3 = omega1 - delta1
+        omega4 = omega2 - values.get("delta2", delta1)
+    alpha1 = values.get("alpha1", 1.0)
+    try:
+        return ModelParams(
+            omega1=omega1, omega2=omega2, omega3=omega3, omega4=omega4,
+            alpha1=alpha1, alpha2=values.get("alpha2", alpha1),
+            gamma=values.get("gamma", 0.5), nbar=values.get("nbar", 0.0),
         )
     except ParameterError as exc:
         raise ConfigError(str(exc)) from None
@@ -239,17 +248,13 @@ def parse_scenario(text: str) -> Scenario:
             )
         params = PRESETS[name].params()
     else:
-        values = {}
-        for key in _PHYSICAL_KEYS:
-            if key in pairs:
-                got = _parse_values(key, pairs[key])
-                if len(got) != 1:
-                    raise ConfigError(
-                        f"key {key!r}: a single run takes one value, not {len(got)}",
-                        key=key,
-                    )
-                values[key] = got[0]
-        params = _build_params(values)
+        values = _physical_values(pairs)
+        for key, got in values.items():
+            if len(got) != 1:
+                raise ConfigError(
+                    f"key {key!r}: a single run takes one value, not {len(got)}", key=key
+                )
+        params = _build_params({key: got[0] for key, got in values.items()})
     return Scenario(
         params=params,
         grid=_build_grid(pairs),
@@ -263,19 +268,10 @@ def parse_sweep(text: str) -> SweepSpec:
     if "preset" in pairs:
         raise ConfigError("sweeps take explicit parameters, not presets", key="preset")
     _check_forms(pairs)
-    axes = {}
-    fixed = {}
-    for key in _PHYSICAL_KEYS:
-        if key not in pairs:
-            continue
-        values = _parse_values(key, pairs[key])
-        if len(values) > 1:
-            axes[key] = values
-        else:
-            fixed[key] = values[0]
+    values = _physical_values(pairs)
     return SweepSpec(
-        axes=axes,
-        fixed=fixed,
+        axes={key: got for key, got in values.items() if len(got) > 1},
+        fixed={key: got[0] for key, got in values.items() if len(got) == 1},
         grid=_build_grid(pairs),
         threshold=_threshold(pairs),
     )

@@ -8,9 +8,11 @@ master-equation oracle, Choi-matrix complete positivity, and the
 memory-kernel Volterra solution) plus the map factorization test.
 
 Every check runs to completion and reports PASS or FAIL with its measured
-number; nothing aborts early.  The hidden corrupt hook flips a sign in the
-coefficient-space generator and passes it to the same primary-path call,
-so that a broken primary path demonstrably trips the oracle comparison.
+number; nothing aborts early.  The package carries no fault-injection
+switch: a test in tests/test_config_cli.py replaces this module's
+``build_generator`` with one that flips a sign in the coefficient-space
+generator, and shows that a broken primary path trips the oracle
+comparison.
 """
 
 from dataclasses import dataclass
@@ -47,20 +49,13 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-def _corrupted_generator(params: ModelParams, k: int) -> np.ndarray:
-    gen = build_generator(params, k)
-    gen[1, 2] = -gen[1, 2]  # deliberate sign flip; must trip the checks
-    return gen
-
-
-def _rho_series(params: ModelParams, grid: TimeGrid, corrupt: bool) -> np.ndarray:
-    make = _corrupted_generator if corrupt else build_generator
-    generators = [make(params, k) for k in (1, 2)]
+def _rho_series(params: ModelParams, grid: TimeGrid) -> np.ndarray:
+    generators = [build_generator(params, k) for k in (1, 2)]
     return x_matrix(*evolve_x_state(generators, params.nbar, grid.points))
 
 
-def _physicality_check(name: str, params: ModelParams, grid: TimeGrid, corrupt: bool):
-    rho = _rho_series(params, grid, corrupt)
+def _physicality_check(name: str, params: ModelParams, grid: TimeGrid):
+    rho = _rho_series(params, grid)
     trace_dev, herm_dev, min_eig = physicality_deviations(rho)
     ok = trace_dev < 1e-9 and herm_dev < 1e-12 and min_eig > -1e-9
     return (
@@ -86,13 +81,13 @@ def _concurrence_check(name: str, rho: np.ndarray):
         return CheckResult(f"concurrence-routes[{name}]", False, str(exc))
 
 
-def run_quick(corrupt: bool = False, grid: TimeGrid | None = None):
+def run_quick(grid: TimeGrid | None = None):
     """Physicality plus concurrence-route agreement on all presets."""
     grid = grid or default_grid()
     results = []
     for name, preset in PRESETS.items():
         params = preset.params()
-        phys, rho = _physicality_check(name, params, grid, corrupt)
+        phys, rho = _physicality_check(name, params, grid)
         results.append(phys)
         results.append(_concurrence_check(name, rho))
     return results
@@ -101,9 +96,9 @@ def run_quick(corrupt: bool = False, grid: TimeGrid | None = None):
 _ORACLE_PRESETS = ("fig2", "fig3", "fig6")
 
 
-def _oracle_check(name: str, grid: TimeGrid, corrupt: bool) -> CheckResult:
+def _oracle_check(name: str, grid: TimeGrid) -> CheckResult:
     params = PRESETS[name].params()
-    primary = _rho_series(params, grid, corrupt)
+    primary = _rho_series(params, grid)
     full0 = full_initial_state(bell_state(), params.nbar)
     reduced = partial_trace_34(evolve_full(params, full0, grid))
     dev = float(np.abs(primary - reduced).max())
@@ -127,9 +122,9 @@ def _choi_check(nbar: float) -> CheckResult:
     )
 
 
-def _nz_check(corrupt: bool = False, t_end: float = 10.0) -> CheckResult:
+def _nz_check(t_end: float = 10.0) -> CheckResult:
     params = PRESETS["fig4"].params()
-    gen = (_corrupted_generator if corrupt else build_generator)(params, 1)
+    gen = build_generator(params, 1)
     inits = [initial_coefficients(term, params.nbar) for term in (InitialTerm.EE, InitialTerm.EG)]
     devs = {}
     for dt in (2e-3, 1e-3):
@@ -147,10 +142,10 @@ def _nz_check(corrupt: bool = False, t_end: float = 10.0) -> CheckResult:
     )
 
 
-def _factorization_check(name: str, t: float, corrupt: bool) -> CheckResult:
+def _factorization_check(name: str, t: float) -> CheckResult:
     params = PRESETS[name].params()
     grid = TimeGrid(t, 3)
-    primary = _rho_series(params, grid, corrupt)[-1]
+    primary = _rho_series(params, grid)[-1]
     t1 = subsystem_transfer_matrix(params, 1, t)
     t2 = subsystem_transfer_matrix(params, 2, t)
     product = apply_product_map(t1, t2, bell_state())
@@ -160,18 +155,18 @@ def _factorization_check(name: str, t: float, corrupt: bool) -> CheckResult:
     )
 
 
-def run_full(corrupt: bool = False, fast: bool = False):
+def run_full(fast: bool = False):
     """All quick checks plus the independent oracles.
 
     fast shrinks the oracle window so the suite exercises every code path
     in seconds; intended for smoke tests, not for certification.
     """
     grid = TimeGrid(2.0, 201) if fast else default_grid()
-    results = run_quick(corrupt, grid=grid)
+    results = run_quick(grid=grid)
     for name in _ORACLE_PRESETS:
-        results.append(_oracle_check(name, grid, corrupt))
+        results.append(_oracle_check(name, grid))
     for nbar in (0.0, 0.2):
         results.append(_choi_check(nbar))
-    results.append(_nz_check(corrupt, t_end=2.0 if fast else 10.0))
-    results.append(_factorization_check("fig2", 1.0, corrupt))
+    results.append(_nz_check(t_end=2.0 if fast else 10.0))
+    results.append(_factorization_check("fig2", 1.0))
     return results

@@ -1,7 +1,10 @@
 """Scenario parsing and the command-line entry points."""
 
+import dataclasses
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nmqsim import verify
 from nmqsim.cli import main
 from nmqsim.config import GRID_CAP, SWEEP_CAP, ConfigError, parse_scenario, parse_sweep
 from nmqsim.entanglement import EventKind, extract_events
-from nmqsim.output import format_number
+from nmqsim.output import format_number, scenario_hash
 from nmqsim.pipeline import simulate
 from nmqsim.presets import PRESETS
 
@@ -147,6 +152,67 @@ def test_sweep_errors():
     assert 50 ** 3 > SWEEP_CAP
 
 
+def test_readers_parse_every_value_before_counting():
+    # a value list is a fault only for a scenario; the bad value is one for both
+    text = "alpha1 = 1, 2\ngamma = oops\n"
+    for parse in (parse_scenario, parse_sweep):
+        with pytest.raises(ConfigError, match="'oops' is not a number") as err:
+            parse(text)
+        assert err.value.key == "gamma"
+
+
+def test_negative_zero_resolves_and_hashes_like_zero():
+    scenario = parse_scenario("delta1 = -0\nnbar = -0\n")
+    spec = parse_sweep("delta1 = -0\nnbar = -0:1:3\n")
+    for value in (scenario.params.nbar, spec.fixed["delta1"], spec.axes["nbar"][0]):
+        assert math.copysign(1.0, value) == 1.0
+    assert scenario_hash(dataclasses.asdict(scenario)) == scenario_hash(
+        dataclasses.asdict(parse_scenario("delta1 = 0\nnbar = 0\n"))
+    )
+    assert scenario_hash(dataclasses.asdict(spec)) == scenario_hash(
+        dataclasses.asdict(parse_sweep("delta1 = 0\nnbar = 0:1:3\n"))
+    )
+
+
+# one value per key, invalid ones included: a negative gamma, a bad number,
+# and 1e308 pairs whose omega3 = omega1 - delta1 overflows
+_VALUES = st.sampled_from(["0", "-0", "0.5", "2", "-2", "10", "1e308", "-1e308", "oops"])
+_FORMS = (
+    ("omega1", "omega2", "delta1", "delta2", "alpha1", "alpha2", "gamma", "nbar"),
+    ("omega1", "omega2", "omega3", "omega4", "alpha1", "alpha2", "gamma", "nbar"),
+)
+_OTHER = {"t_end": ["4", "10"], "num_points": ["101", "2001"], "threshold": ["1e-6", "0.01"]}
+
+
+@st.composite
+def _one_point_files(draw):
+    keys = draw(st.sampled_from(_FORMS))
+    lines = [f"{key} = {draw(_VALUES)}" for key in keys if draw(st.booleans())]
+    lines += [
+        f"{key} = {draw(st.sampled_from(values))}"
+        for key, values in _OTHER.items()
+        if draw(st.booleans())
+    ]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_one_point_files())
+def test_scenario_is_a_one_point_sweep(text):
+    try:
+        scenario = parse_scenario(text)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as err:
+            parse_sweep(text)
+        assert (str(err.value), err.value.key) == (str(exc), exc.key)
+        return
+    spec = parse_sweep(text)
+    assert spec.axes == {}
+    [(assignment, params)] = list(spec.points())
+    assert assignment == {} and params == scenario.params
+    assert (spec.grid, spec.threshold) == (scenario.grid, scenario.threshold)
+
+
 def write_config(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="ascii")
@@ -202,6 +268,14 @@ def test_simulate_usage_errors(tmp_path):
     assert main(["simulate", bad, "--out", str(tmp_path)]) == 2
     unknown = write_config(tmp_path, "alpha7 = 1\n", "unknown.cfg")
     assert main(["simulate", unknown, "--out", str(tmp_path)]) == 2
+
+
+def test_preset_flag_is_validated_before_it_becomes_a_line(tmp_path, capsys):
+    # "preset = fig3 # x" would read as fig3 once the comment is stripped
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "fig3 # x", "--out", str(out)]) == 2
+    assert "unknown preset" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def read_sweep(path):
@@ -553,11 +627,24 @@ def test_verify_quick(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_verify_catches_corrupted_generator(capsys):
-    assert main(["verify", "--level", "full", "--fast", "--corrupt-generator"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert any("oracle" in ln and "FAIL" in ln for ln in out.splitlines())
+def test_verify_catches_corrupted_generator(monkeypatch, capsys):
+    # a sign flip in the generator that verify builds for the primary series
+    # and the memory-kernel check; the master-equation oracle and the Choi
+    # check build their own Liouvillians and must catch the broken path
+    build_generator = verify.build_generator
+
+    def corrupted(params, k):
+        gen = build_generator(params, k)
+        gen[1, 2] = -gen[1, 2]
+        return gen
+
+    monkeypatch.setattr(verify, "build_generator", corrupted)
+    assert main(["verify", "--level", "full", "--fast"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("FAIL oracle-equivalence") for ln in lines)
+    # exit 1 must come from failed checks, which end with the tally; an
+    # uncaught exception would print neither
+    assert re.fullmatch(r"\d+/\d+ checks passed", lines[-1])
 
 
 def test_list_presets(capsys):

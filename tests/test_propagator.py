@@ -299,7 +299,7 @@ def test_negative_times_rejected():
 
 def test_blocks_off_the_generator_pattern_rejected():
     # the closed forms hold on build_generator's zero pattern only; the sign
-    # flip of verify's corrupted generator keeps that pattern
+    # flip that test_verify_catches_corrupted_generator makes keeps that pattern
     gen = build_generator(preset_params("fig3"), 1)
     flipped = gen.copy()
     flipped[1, 2] = -flipped[1, 2]
