@@ -28,7 +28,9 @@ point.  It parses every value of every physical key before it checks how
 many values a key has, so a file with a bad value and a value list names
 the bad value whichever command reads it.  A scenario then takes one value
 per key, and a preset file none; a sweep splits the keys into axes (several
-values) and fixed keys (one).  parse_sweep builds every point's
+values) and fixed keys (one).  Both readers check the grid and threshold
+before they build parameters, so a file with a fault in each names the
+same one from either command.  parse_sweep builds every point's
 parameters before it returns, so a bad value in any axis is a
 configuration error before the first point runs.  Plots are a switch of
 the ``simulate`` command line, not a key.
@@ -199,7 +201,9 @@ def _build_params(values: dict) -> ModelParams:
             gamma=values.get("gamma", 0.5), nbar=values.get("nbar", 0.0),
         )
     except ParameterError as exc:
-        raise ConfigError(str(exc)) from None
+        # a field the file sets names its key; one computed from several keys
+        # (omega3 = omega1 - delta1) names none
+        raise ConfigError(str(exc), key=exc.field if exc.field in values else None) from None
 
 
 def _build_grid(pairs: dict) -> TimeGrid:
@@ -246,20 +250,20 @@ def parse_scenario(text: str) -> Scenario:
                 f"preset fixes the physical parameters; remove {clash[0]!r}",
                 key=clash[0],
             )
-        params = PRESETS[name].params()
+        values = None
     else:
-        values = _physical_values(pairs)
-        for key, got in values.items():
+        parsed = _physical_values(pairs)
+        for key, got in parsed.items():
             if len(got) != 1:
                 raise ConfigError(
                     f"key {key!r}: a single run takes one value, not {len(got)}", key=key
                 )
-        params = _build_params({key: got[0] for key, got in values.items()})
-    return Scenario(
-        params=params,
-        grid=_build_grid(pairs),
-        threshold=_threshold(pairs),
-    )
+        values = {key: got[0] for key, got in parsed.items()}
+    grid = _build_grid(pairs)
+    threshold = _threshold(pairs)
+    # the parameters come last, as in SweepSpec, so both readers name the same fault
+    params = PRESETS[pairs["preset"]].params() if values is None else _build_params(values)
+    return Scenario(params=params, grid=grid, threshold=threshold)
 
 
 def parse_sweep(text: str) -> SweepSpec:

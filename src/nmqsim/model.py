@@ -75,7 +75,14 @@ Q_INDICES: tuple[int, ...] = (2, 3, 4, 6, 8)
 
 
 class ParameterError(ValueError):
-    """Raised when model parameters are unphysical or inconsistent."""
+    """Raised when model parameters are unphysical or inconsistent.
+
+    ``field`` names the :class:`ModelParams` field at fault, when one is.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class InitialTerm(enum.Enum):
@@ -117,13 +124,13 @@ class ModelParams:
         for name in ("omega1", "omega2", "omega3", "omega4", "alpha1", "alpha2", "gamma", "nbar"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
+                raise ParameterError(f"{name} must be a real number, got {value!r}", name)
             if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
+                raise ParameterError(f"{name} must be finite, got {value!r}", name)
         if self.gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
+            raise ParameterError(f"gamma must be >= 0, got {self.gamma}", "gamma")
         if self.nbar < 0:
-            raise ParameterError(f"nbar must be >= 0, got {self.nbar}")
+            raise ParameterError(f"nbar must be >= 0, got {self.nbar}", "nbar")
 
     @classmethod
     def from_detunings(

@@ -54,16 +54,16 @@ def _embed(op: np.ndarray, site: int, nsites: int) -> np.ndarray:
     return out
 
 
+def _dissipator(jump: np.ndarray) -> np.ndarray:
+    """D[J] rho = 2 J rho J+ - J+J rho - rho J+J as a row-major superoperator."""
+    eye = np.eye(jump.shape[0], dtype=complex)
+    decay = jump.conj().T @ jump
+    return 2.0 * np.kron(jump, jump.conj()) - np.kron(decay, eye) - np.kron(eye, decay.T)
+
+
 def _thermal_dissipator(lower: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
-    """gamma(nbar+1)(2 L rho L+ - L+L rho - rho L+L) + gamma nbar (raising analogue)."""
-    d = lower.shape[0]
-    eye = np.eye(d, dtype=complex)
-    raise_ = lower.conj().T
-    down = 2.0 * np.kron(lower, lower.conj()) \
-        - np.kron(raise_ @ lower, eye) - np.kron(eye, (raise_ @ lower).T)
-    up = 2.0 * np.kron(raise_, raise_.conj()) \
-        - np.kron(lower @ raise_, eye) - np.kron(eye, (lower @ raise_).T)
-    return gamma * (nbar + 1.0) * down + gamma * nbar * up
+    """gamma(nbar+1) D[L] + gamma nbar D[L+] for the lowering operator L."""
+    return gamma * (nbar + 1.0) * _dissipator(lower) + gamma * nbar * _dissipator(lower.conj().T)
 
 
 def _liouvillian(params: ModelParams, pairs, nsites: int) -> np.ndarray:
@@ -146,40 +146,39 @@ def partial_trace_34(rho: np.ndarray) -> np.ndarray:
 
 def pair_liouvillian(params: ModelParams, k: int) -> np.ndarray:
     """Superoperator for one qubit + auxiliary-atom pair (16x16)."""
-    if k not in (1, 2):
-        raise ValueError("subsystem index must be 1 or 2")
     return _liouvillian(params, [(k, 1, 2)], 2)
 
 
-def _apply_pair_map(propagator: np.ndarray, op: np.ndarray, nbar: float) -> np.ndarray:
-    """Evolve op (x) thermal under the pair propagator, trace out the partner."""
-    pair0 = np.kron(op, thermal_state(nbar)).reshape(16)
-    pair_t = (propagator @ pair0).reshape(2, 2, 2, 2)
-    return np.einsum("ijkj->ik", pair_t)
-
-
-def choi_of_subsystem_map(params: ModelParams, k: int, t: float) -> np.ndarray:
+def choi_of_subsystem_map(params: ModelParams, k: int, t: float | np.ndarray) -> np.ndarray:
     """Choi matrix sum_ij E_ij (x) Phi(E_ij) of the reduced map at time t.
 
     Entry (2i + a, 2j + b) is Phi(E_ij)[a, b], which the transfer matrix
-    holds at (2a + b, 2i + j), so the Choi matrix is its reshuffle.
+    holds at (2a + b, 2i + j), so the Choi matrix is its reshuffle.  Like
+    the transfer matrix, t may be an array of times of shape S, giving
+    shape S + (4, 4).
     """
     transfer = subsystem_transfer_matrix(params, k, t)
-    return transfer.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    stack = transfer.shape[:-2]
+    units = transfer.reshape(stack + (2, 2, 2, 2))
+    return np.einsum("...abij->...iajb", units).reshape(stack + (4, 4))
 
 
-def subsystem_transfer_matrix(params: ModelParams, k: int, t: float) -> np.ndarray:
-    """4x4 matrix T with vec(Phi(X)) = T vec(X) for the reduced map at time t >= 0."""
-    if not (np.isfinite(t) and t >= 0.0):
+def subsystem_transfer_matrix(params: ModelParams, k: int, t: float | np.ndarray) -> np.ndarray:
+    """4x4 matrix T with vec(Phi(X)) = T vec(X) for the reduced map at time t >= 0.
+
+    t may be a time or an array of times of shape S; the result then has
+    shape S + (4, 4).  The pair Liouvillian is built once and exponentiated
+    at every time in one stacked call.  With the partner atom thermal,
+    T[(q q'), (p p')] = sum_{a,b,b'} prop[(q a, q' a), (p b, p' b')] th[b, b'].
+    """
+    times = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0.0)):
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
-    prop = scipy.linalg.expm(pair_liouvillian(params, k) * t)
-    cols = []
-    for i in range(2):
-        for j in range(2):
-            eij = np.zeros((2, 2), dtype=complex)
-            eij[i, j] = 1.0
-            cols.append(_apply_pair_map(prop, eij, params.nbar).reshape(4))
-    return np.stack(cols, axis=1)
+    prop = scipy.linalg.expm(pair_liouvillian(params, k) * times[..., None, None])
+    # axes (q a q' a' p b p' b'): output row, output column, input row, input column
+    prop = prop.reshape(times.shape + (2,) * 8)
+    transfer = np.einsum("...qaxapbyc,bc->...qxpy", prop, thermal_state(params.nbar))
+    return transfer.reshape(times.shape + (4, 4))
 
 
 def apply_product_map(t1: np.ndarray, t2: np.ndarray, rho12: np.ndarray) -> np.ndarray:

@@ -37,10 +37,7 @@ def format_number(x) -> str:
 
 def _write_lines(path: Path, lines) -> None:
     # newline="\n" pins LF endings on every platform
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
 def write_trajectory_csv(path, result: SimulationResult) -> None:

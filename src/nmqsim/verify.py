@@ -114,9 +114,8 @@ def _choi_check(nbar: float) -> CheckResult:
             omega1=10.0, delta1=0.0, delta2=0.0,
             alpha1=alpha, alpha2=alpha, gamma=0.5, nbar=nbar,
         )
-        for t in times:
-            choi = choi_of_subsystem_map(params, 1, t)
-            worst = min(worst, float(np.linalg.eigvalsh(choi).min()))
+        chois = choi_of_subsystem_map(params, 1, times)
+        worst = min(worst, float(np.linalg.eigvalsh(chois).min()))
     return CheckResult(
         f"choi-positivity[nbar={nbar:g}]", worst >= -1e-8, f"min eigenvalue {worst:.2e}"
     )

@@ -161,6 +161,22 @@ def test_readers_parse_every_value_before_counting():
         assert err.value.key == "gamma"
 
 
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("gamma = -1\n", "gamma"),
+        ("nbar = -2\n", "nbar"),
+        ("delta1 = 1e308\nomega1 = -1e308\n", None),
+    ],
+)
+def test_parameter_fault_names_its_key(text, key):
+    # omega3 = omega1 - delta1 comes from two keys, so its overflow names none
+    for parse in (parse_scenario, parse_sweep):
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        assert err.value.key == key
+
+
 def test_negative_zero_resolves_and_hashes_like_zero():
     scenario = parse_scenario("delta1 = -0\nnbar = -0\n")
     spec = parse_sweep("delta1 = -0\nnbar = -0:1:3\n")
@@ -181,7 +197,13 @@ _FORMS = (
     ("omega1", "omega2", "delta1", "delta2", "alpha1", "alpha2", "gamma", "nbar"),
     ("omega1", "omega2", "omega3", "omega4", "alpha1", "alpha2", "gamma", "nbar"),
 )
-_OTHER = {"t_end": ["4", "10"], "num_points": ["101", "2001"], "threshold": ["1e-6", "0.01"]}
+# valid and invalid grid and threshold values, so that a file can carry a
+# fault there and in a physical key at once
+_OTHER = {
+    "t_end": ["4", "10", "0", "-1", "1e-310"],
+    "num_points": ["101", "2001", "0", "1", "2.5"],
+    "threshold": ["1e-6", "0.01", "0", "2"],
+}
 
 
 @st.composite

@@ -316,9 +316,24 @@ def test_negative_time_rejected():
     # the Choi matrix inherits the transfer matrix's check
     params = preset_params("fig2")
     for fn in (subsystem_transfer_matrix, choi_of_subsystem_map):
-        for t in (-0.5, np.nan, np.inf):
+        for t in (-0.5, np.nan, np.inf, np.array([0.5, 1.0, -0.5, 2.0])):
             with pytest.raises(ValueError, match="finite and >= 0"):
                 fn(params, 1, t)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig6", "fig10"])
+def test_stacked_maps_equal_per_time_maps(name):
+    # one exponential over the stack gives each time's map bit for bit
+    params = preset_params(name)
+    times = np.array([0.0, 0.25, 1.0, 2.5, 5.0, 10.0, 44.2])
+    for k in (1, 2):
+        for fn in (subsystem_transfer_matrix, choi_of_subsystem_map):
+            stacked = fn(params, k, times)
+            assert stacked.shape == (len(times), 4, 4)
+            for i, t in enumerate(times):
+                single = fn(params, k, float(t))
+                assert single.shape == (4, 4)
+                assert np.array_equal(stacked[i], single)
 
 
 def test_dynamics_factorizes_into_subsystem_maps():

@@ -1,5 +1,7 @@
 """The one-call simulation front end."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -27,6 +29,20 @@ def test_simulate_shapes_and_initial_state():
     assert result.series.eof[0] == pytest.approx(1.0, abs=1e-12)
     assert result.a[0] == pytest.approx(0.5, abs=1e-12)
     assert result.d[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_long_grid_refinement_is_quiet():
+    # refinement times near 0 run the response series on every time, which
+    # overflows on the far ones before np.where drops them
+    params = ModelParams.from_detunings(
+        omega1=10.0, delta1=0.0, delta2=0.0,
+        alpha1=0.3, alpha2=0.3, gamma=1.0, nbar=0.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        events = extract_events(simulate(params, TimeGrid(1e20, 2001)).series)
+    assert [(e.kind, e.precise) for e in events] == [(EventKind.FINAL_DEATH, True)]
+    assert events[0].time == pytest.approx(35.7166067515, abs=1e-9)
 
 
 def test_concurrence_is_clamped_precursor():
