@@ -68,13 +68,14 @@ def _scenario_from_args(args) -> Scenario:
     return parse_scenario(text)
 
 
-def _warn_grid_limited(limited: list, total: int, what: str) -> None:
+def _warn_grid_limited(
+    limited: list, total: int, what: str, interval="dead", result="crossing times are"
+) -> None:
     """One warning for the run, naming the items the grid resolution limits."""
     if limited:
         warnings.warn(
-            f"{len(limited)} of {total} {what} a dead interval shorter than two grid "
-            "steps, so their crossing times are grid-resolution limited: "
-            + "; ".join(limited),
+            f"{len(limited)} of {total} {what} a {interval} interval shorter than two grid "
+            f"steps, so their {result} grid-resolution limited: " + "; ".join(limited),
             stacklevel=3,
         )
 
@@ -105,7 +106,13 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_row(assignment, params, grid, threshold):
-    """One sweep.csv row, and whether all of its crossing times are precise."""
+    """One sweep.csv row, and whether its crossings and its live intervals are grid-resolved.
+
+    Crossings are resolved when every event is precise.  A live interval,
+    from t = 0 or a REVIVAL to the next DEATH or FINAL_DEATH, is resolved
+    when it spans at least two grid steps; a shorter one leaves the
+    concurrence integral to the trapezoid's few samples.
+    """
     result = simulate(params, grid)
     events = extract_events(result.series, threshold=threshold)
     final = next(
@@ -113,24 +120,33 @@ def _sweep_row(assignment, params, grid, threshold):
     )
     revivals = sum(1 for e in events if e.kind is EventKind.REVIVAL)
     integral = float(np.trapezoid(result.series.concurrence, grid.points))
+    # the run starts alive, so its deaths and revivals alternate from t = 0
+    born = [0.0] + [e.time for e in events if e.kind is EventKind.REVIVAL]
+    died = [e.time for e in events if e.kind is not EventKind.REVIVAL]
+    live_resolved = all(d - b >= 2.0 * grid.step for b, d in zip(born, died))
     values = [format_number(v) for v in assignment.values()]
     values.append("none" if final is None else format_number(final))
     values.append(str(revivals))
     values.append(format_number(integral))
-    return values, all(e.precise for e in events)
+    return values, all(e.precise for e in events), live_resolved
 
 
 def cmd_sweep(args) -> int:
     text = _read_config(args.config)
     spec = parse_sweep(text)
-    rows, limited = [], []
+    rows, limited, short_lived = [], [], []
     for assignment, params in spec.points():
-        row, precise = _sweep_row(assignment, params, spec.grid, spec.threshold)
+        row, precise, live_resolved = _sweep_row(assignment, params, spec.grid, spec.threshold)
         rows.append(row)
+        named = ", ".join(f"{k}={v}" for k, v in zip(spec.axes, row)) or "the only point"
         if not precise:
-            named = ", ".join(f"{key}={value}" for key, value in zip(spec.axes, row))
-            limited.append(named or "the only point")
+            limited.append(named)
+        if not live_resolved:
+            short_lived.append(named)
     _warn_grid_limited(limited, len(rows), "sweep rows have")
+    _warn_grid_limited(
+        short_lived, len(rows), "sweep rows have", "live", "concurrence_integral is"
+    )
 
     out = Path(args.out)
     path = out / "sweep.csv"

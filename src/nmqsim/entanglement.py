@@ -35,22 +35,19 @@ __all__ = [
 # largest Hermiticity, trace or negative-eigenvalue defect accepted as a state
 INPUT_TOL = 1e-6
 
-# sigma_y (x) sigma_y in the (|11>,|10>,|01>,|00>) product basis; the value
-# is ordering-independent up to this anti-diagonal sign pattern.
-_SIGMA_YY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)
+# sigma_y (x) sigma_y is anti-diagonal in the (|11>,|10>,|01>,|00>) product
+# basis, with row signs (-1, 1, 1, -1); the value is ordering-independent up
+# to this sign pattern.
+_FLIP_SIGN = np.outer([-1, 1, 1, -1], [-1, 1, 1, -1])
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """rho~ = (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y), for one matrix or a stack."""
-    return _SIGMA_YY @ np.conj(rho) @ _SIGMA_YY
+    """rho~ = (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y), for one matrix or a stack.
+
+    The sandwich by the signed anti-diagonal matrix reverses both indices
+    and multiplies entry (i, j) by s_i s_j.
+    """
+    return _FLIP_SIGN * np.conj(rho)[..., ::-1, ::-1]
 
 
 def concurrence_general_series(rhos: np.ndarray) -> np.ndarray:
@@ -153,7 +150,11 @@ class EntanglementEvent:
 
 @dataclass(frozen=True)
 class EntanglementSeries:
-    """Concurrence, precursor and EoF sampled on a time grid.
+    """Precursor sampled on a time grid, with the concurrence and EoF derived from it.
+
+    concurrence is the precursor's positive part, at most 1, and eof the
+    entanglement of formation of that; both are computed when read, so a
+    caller that never reads the EoF never computes it.
 
     precursor_fn, when provided, evaluates the same precursor at an array
     of arbitrary times and returns an array of the same shape; a
@@ -166,18 +167,22 @@ class EntanglementSeries:
     """
 
     grid: TimeGrid
-    concurrence: np.ndarray
     precursor: np.ndarray
-    eof: np.ndarray
     precursor_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
 
     def __post_init__(self):
-        n = self.grid.num_points
-        for name in ("concurrence", "precursor", "eof"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length does not match the grid")
+        if len(self.precursor) != self.grid.num_points:
+            raise ValueError("precursor length does not match the grid")
+
+    @property
+    def concurrence(self) -> np.ndarray:
+        return np.clip(self.precursor, 0.0, 1.0)
+
+    @property
+    def eof(self) -> np.ndarray:
+        return entanglement_of_formation(self.concurrence)
 
 
 def _scan(s: np.ndarray, threshold: float):

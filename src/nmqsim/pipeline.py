@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import (
-    EntanglementSeries,
-    entanglement_of_formation,
-    precursor_from_components,
-)
+from .entanglement import EntanglementSeries, precursor_from_components
 from .model import ModelParams, build_generator
 from .propagator import TimeGrid, _response_evaluator, x_state_from_responses
 
@@ -83,14 +79,7 @@ def simulate(params: ModelParams, grid: TimeGrid) -> SimulationResult:
             _, bt, ct, _, ft = x_state_from_responses(s1, u1, s2, u2, params.nbar)
             return precursor_from_components(bt, ct, ft)
 
-    prec = precursor_from_components(b, c, f)
-    conc = np.clip(prec, 0.0, 1.0)
-    eof = entanglement_of_formation(conc)
     series = EntanglementSeries(
-        grid=grid,
-        concurrence=conc,
-        precursor=prec,
-        eof=eof,
-        precursor_fn=precursor_at,
+        grid=grid, precursor=precursor_from_components(b, c, f), precursor_fn=precursor_at
     )
     return SimulationResult(params=params, grid=grid, a=a, b=b, c=c, d=d, f=f, series=series)

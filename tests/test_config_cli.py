@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from nmqsim import verify
 from nmqsim.cli import main
 from nmqsim.config import GRID_CAP, SWEEP_CAP, ConfigError, parse_scenario, parse_sweep
-from nmqsim.entanglement import EventKind, extract_events
+from nmqsim.entanglement import EventKind, entanglement_of_formation, extract_events
 from nmqsim.output import format_number, scenario_hash
 from nmqsim.pipeline import simulate
 from nmqsim.presets import PRESETS
@@ -592,6 +592,51 @@ def test_sweep_names_grid_limited_rows(tmp_path):
     cfg = write_config(tmp_path, "alpha1 = 3\nnum_points = 101\n", "one.cfg")
     with pytest.warns(UserWarning, match="limited: the only point$"):
         assert main(["sweep", cfg, "--out", str(tmp_path / "one")]) == 0
+
+
+def test_sweep_names_rows_with_short_live_intervals(tmp_path):
+    # each row's only live interval, [0, 35.7] and [0, 10.6], lies inside the
+    # first grid step of 5e16, where the trapezoid sees only C(0) = 1 and
+    # C(step) = 0; both deaths are refined precisely
+    cfg = write_config(tmp_path, "t_end = 1e20\nalpha1 = 0.3, 0.5\ngamma = 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "long")]) == 0
+    assert [str(w.message) for w in caught] == [
+        "2 of 2 sweep rows have a live interval shorter than two grid steps, so their "
+        "concurrence_integral is grid-resolution limited: alpha1=0.3; alpha1=0.5"
+    ]
+
+    # a grid step of 1 resolves both live intervals
+    cfg = write_config(
+        tmp_path, "t_end = 100\nnum_points = 101\nalpha1 = 0.3, 0.5\ngamma = 1\n", "fine.cfg"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "fine")]) == 0
+
+
+def test_sweep_never_evaluates_the_eof(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path, "alpha1 = 0.5, 2, 5\ngamma = 0.5, 1\nnbar = 0.2\nnum_points = 401\n"
+    )
+    assert main(["sweep", cfg, "--out", str(tmp_path / "plain")]) == 0
+
+    def refused(concurrence):
+        raise RuntimeError("the entanglement of formation was evaluated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("nmqsim.entanglement.entanglement_of_formation", refused)
+        patch.setattr("nmqsim.pipeline.entanglement_of_formation", refused, raising=False)
+        assert main(["sweep", cfg, "--out", str(tmp_path / "patched")]) == 0
+    plain, patched = (tmp_path / name / "sweep.csv" for name in ("plain", "patched"))
+    assert patched.read_bytes() == plain.read_bytes()
+
+    # a simulate run still writes the eof column, derived from the concurrence
+    assert main(["simulate", "--preset", "fig8", "--out", str(tmp_path / "sim")]) == 0
+    traj = np.loadtxt(tmp_path / "sim" / "trajectory.csv", delimiter=",", skiprows=1)
+    assert traj[:, 9] == pytest.approx(entanglement_of_formation(traj[:, 7]), abs=1e-9)
+    assert traj[:, 9].max() > 0.5
 
 
 def test_simulate_names_grid_limited_events(tmp_path):

@@ -95,6 +95,15 @@ def test_spin_flip_involution():
     assert np.abs(spin_flip(spin_flip(rho)) - rho).max() < 1e-14
 
 
+def test_spin_flip_is_the_sigma_yy_sandwich():
+    sy = np.array([[0, -1j], [1j, 0]])
+    yy = np.kron(sy, sy)  # the same matrix in the (|11>,|10>,|01>,|00>) order
+    rng = np.random.default_rng(5)
+    rhos = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    assert np.array_equal(spin_flip(rhos[0]), yy @ np.conj(rhos[0]) @ yy)
+    assert np.array_equal(spin_flip(rhos), yy @ np.conj(rhos) @ yy)
+
+
 def test_local_unitary_invariance():
     rng = np.random.default_rng(11)
     rho = x_matrix(0.3, 0.15, 0.25, 0.3, 0.2 * np.exp(0.7j))
@@ -219,16 +228,19 @@ def test_markovian_rate_values():
 
 
 def make_series(t_end, s, fn=None):
-    grid = TimeGrid(t_end, len(s))
     s = np.asarray(s, dtype=float)
-    conc = np.clip(s, 0.0, None)
-    return EntanglementSeries(
-        grid=grid,
-        concurrence=conc,
-        precursor=s,
-        eof=np.zeros_like(s),
-        precursor_fn=fn,
-    )
+    return EntanglementSeries(grid=TimeGrid(t_end, len(s)), precursor=s, precursor_fn=fn)
+
+
+def test_series_derives_concurrence_and_eof():
+    p = np.array([-0.4, -1e-9, 0.0, 0.3, 0.999, 1.0, 1.0 + 1e-12, 1.7])
+    series = EntanglementSeries(grid=TimeGrid(1.0, len(p)), precursor=p)
+    assert np.array_equal(series.concurrence, np.clip(p, 0.0, 1.0))
+    assert np.array_equal(series.eof, entanglement_of_formation(np.clip(p, 0.0, 1.0)))
+    with pytest.raises(ValueError, match="precursor length does not match the grid"):
+        EntanglementSeries(grid=TimeGrid(1.0, len(p) + 1), precursor=p)
+    with pytest.raises(TypeError):
+        EntanglementSeries(grid=TimeGrid(1.0, len(p)), precursor=p, concurrence=p)
 
 
 def test_no_events_when_positive():
