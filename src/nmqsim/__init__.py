@@ -44,8 +44,7 @@ from .oracle import (
 )
 from .pipeline import RunHealthError, SimulationResult, simulate
 from .presets import PRESETS, default_grid, preset_params
-from .propagator import TimeGrid, evolve_x_state, responses, slow_solution
-from .reconstruction import x_matrix
+from .propagator import TimeGrid, evolve_x_state, responses, slow_solution, x_matrix
 
 __all__ = [
     "__version__",

@@ -48,8 +48,10 @@ EXIT_NUMERICAL = 3
 
 def _read_config(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        # utf-8-sig drops a leading byte-order mark and reads plain UTF-8 unchanged
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        # UnicodeDecodeError is a ValueError, which main reports as a numerical failure
         raise ConfigError(f"cannot read config file: {exc}") from None
 
 

@@ -158,6 +158,8 @@ def _parse_values(key: str, text: str) -> list:
             raise ConfigError(f"key {key!r}: range count must be an integer", key=key) from None
         if n < 2 or hi <= lo:
             raise ConfigError(f"key {key!r}: range needs hi > lo and n >= 2", key=key)
+        if not np.isfinite(hi - lo):
+            raise ConfigError(f"key {key!r}: range span hi - lo overflows a float", key=key)
         # no axis may exceed the sweep cap; reject the count before building it
         if n > SWEEP_CAP:
             raise ConfigError(

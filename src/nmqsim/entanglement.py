@@ -175,6 +175,8 @@ class EntanglementSeries:
     def __post_init__(self):
         if len(self.precursor) != self.grid.num_points:
             raise ValueError("precursor length does not match the grid")
+        if not np.all(np.isfinite(self.precursor)):
+            raise ValueError("precursor samples must be finite")
 
     @property
     def concurrence(self) -> np.ndarray:

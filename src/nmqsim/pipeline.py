@@ -71,13 +71,9 @@ def simulate(params: ModelParams, grid: TimeGrid) -> SimulationResult:
     _check_health(a, b, c, d, f)
 
     def precursor_at(t: np.ndarray) -> np.ndarray:
-        # as on the grid: when one time is near 0, the response series runs
-        # on every time and overflows on the far ones, which np.where then
-        # drops; a non-finite value that survives fails the refinement's check
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            (s1, s2), (u1, u2) = responses_at(t)
-            _, bt, ct, _, ft = x_state_from_responses(s1, u1, s2, u2, params.nbar)
-            return precursor_from_components(bt, ct, ft)
+        (s1, s2), (u1, u2) = responses_at(t)
+        _, bt, ct, _, ft = x_state_from_responses(s1, u1, s2, u2, params.nbar)
+        return precursor_from_components(bt, ct, ft)
 
     series = EntanglementSeries(
         grid=grid, precursor=precursor_from_components(b, c, f), precursor_fn=precursor_at

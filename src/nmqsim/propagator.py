@@ -17,6 +17,8 @@ state (|00> + |11>)/sqrt(2) evolves into the X state
     c = ((1-e1) e2 + (1-g1) g2) / 2      d = ((1-e1)(1-e2) + (1-g1)(1-g2)) / 2
     f = u1 u2 / 2
 
+:func:`x_matrix` builds the 4x4 matrix of these five numbers for the cross-checks.
+
 Both responses are closed forms, elementwise in t, read from the block
 entries; no matrix exponential is taken.
 
@@ -68,6 +70,7 @@ __all__ = [
     "responses",
     "slow_solution",
     "step_powers",
+    "x_matrix",
     "x_state_from_responses",
 ]
 
@@ -210,8 +213,11 @@ def _response_evaluator(generators):
              + fast * (fast_g * cos_minus + fast_h * sin_minus))
         near = t < quotient_from
         if near.any():
+            # the series runs on every sample; capping t keeps it finite on the
+            # far ones, whose values np.where drops, and leaves the near ones exact
+            tc = np.minimum(t, quotient_from)
             # D_k = sum_j u^j v^(k-1-j) is the divided difference of x^k over {u, v}
-            u, v = t * t * x_plus, t * t * x_minus
+            u, v = tc * tc * x_plus, tc * tc * x_minus
             term, v_pow = np.ones_like(u), np.ones_like(u)
             sum_g = sum_h = 0.0
             for k in range(1, 11):
@@ -219,7 +225,7 @@ def _response_evaluator(generators):
                 sum_h = sum_h + term * _INV_FACTORIAL[2 * k + 1]
                 v_pow = v_pow * v
                 term = u * term + v_pow
-            series = cos_minus + gamma * sin_minus + t * t * (coef_g * sum_g + coef_h * t * sum_h)
+            series = cos_minus + gamma * sin_minus + tc * tc * (coef_g * sum_g + coef_h * tc * sum_h)
             s = np.where(near, fast * series, s)
 
         em = np.expm1(two_sigma * neg_t)
@@ -265,6 +271,24 @@ def x_state_from_responses(s1, u1, s2, u2, nbar: float):
     c = 0.5 * ((1.0 - e1) * e2 + (1.0 - g1) * g2)
     d = 0.5 * ((1.0 - e1) * (1.0 - e2) + (1.0 - g1) * (1.0 - g2))
     return a, b, c, d, 0.5 * u1 * u2
+
+
+def x_matrix(a, b, c, d, f) -> np.ndarray:
+    """X-state density matrices from their components, shape (..., 4, 4).
+
+    a sits at |11><11|, b at |10><10|, c at |01><01|, d at |00><00| and
+    f at <11|rho|00>; the conjugate corner is conj(f), so the result is
+    Hermitian exactly.
+    """
+    a, b, c, d, f = np.broadcast_arrays(a, b, c, d, f)
+    rho = np.zeros(a.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = a
+    rho[..., 1, 1] = b
+    rho[..., 2, 2] = c
+    rho[..., 3, 3] = d
+    rho[..., 0, 3] = f
+    rho[..., 3, 0] = np.conj(f)
+    return rho
 
 
 def evolve_x_state(generators, nbar: float, times):

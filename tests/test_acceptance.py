@@ -31,8 +31,8 @@ from nmqsim.oracle import (
 )
 from nmqsim.pipeline import simulate
 from nmqsim.presets import PRESETS, default_grid, preset_params
-from nmqsim.propagator import TimeGrid, slow_solution
-from nmqsim.reconstruction import physicality_deviations, x_matrix
+from nmqsim.propagator import TimeGrid, slow_solution, x_matrix
+from nmqsim.verify import physicality_deviations
 
 BELL = 0.5 * np.array([
     [1, 0, 0, 1],

@@ -152,6 +152,15 @@ def test_sweep_errors():
     assert 50 ** 3 > SWEEP_CAP
 
 
+def test_range_whose_span_overflows_names_its_key():
+    # each end is finite, but hi - lo is not: linspace would warn and yield NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="alpha1") as err:
+            parse_sweep("alpha1 = -1e308:1e308:3\n")
+    assert err.value.key == "alpha1"
+
+
 def test_readers_parse_every_value_before_counting():
     # a value list is a fault only for a scenario; the bad value is one for both
     text = "alpha1 = 1, 2\ngamma = oops\n"
@@ -259,6 +268,31 @@ def test_simulate_writes_deterministic_outputs(tmp_path):
     assert record["tool"] == "nmqsim"
     assert len(record["scenario_hash"]) == 16
     assert any("trajectory.csv" in f for f in record["outputs"])
+
+
+def test_config_with_byte_order_mark_reads_like_plain(tmp_path):
+    cases = {
+        "simulate": ("alpha1 = 2\nnbar = 0.2\n", ["trajectory.csv", "events.csv"]),
+        "sweep": ("alpha1 = 0.5, 2\nnbar = 0.2\n", ["sweep.csv"]),
+    }
+    for command, (text, files) in cases.items():
+        plain = tmp_path / f"{command}.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / f"{command}-bom.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        outs = [tmp_path / f"{command}-plain", tmp_path / f"{command}-bom"]
+        for cfg, out in zip((plain, marked), outs):
+            assert main([command, str(cfg), "--out", str(out)]) == 0
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"alpha1 = 2\xff\n")
+    for command in ("simulate", "sweep"):
+        assert main([command, str(cfg), "--out", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: cannot read config file: ")
 
 
 def test_simulate_preset_flag_and_events(tmp_path):

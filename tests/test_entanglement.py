@@ -21,8 +21,7 @@ from nmqsim.entanglement import (
 from nmqsim.model import ModelParams
 from nmqsim.pipeline import simulate
 from nmqsim.presets import default_grid, preset_params
-from nmqsim.propagator import TimeGrid
-from nmqsim.reconstruction import x_matrix
+from nmqsim.propagator import TimeGrid, x_matrix
 
 BELL = 0.5 * np.array([
     [1, 0, 0, 1],
@@ -241,6 +240,14 @@ def test_series_derives_concurrence_and_eof():
         EntanglementSeries(grid=TimeGrid(1.0, len(p) + 1), precursor=p)
     with pytest.raises(TypeError):
         EntanglementSeries(grid=TimeGrid(1.0, len(p)), precursor=p, concurrence=p)
+
+
+def test_series_rejects_non_finite_samples():
+    # an all-NaN series would otherwise report no death at all
+    with pytest.raises(ValueError, match="precursor samples must be finite"):
+        make_series(1.0, np.full(11, np.nan))
+    with pytest.raises(ValueError, match="precursor samples must be finite"):
+        make_series(1.0, [0.5, 0.2, np.inf, -0.1, -0.2])
 
 
 def test_no_events_when_positive():

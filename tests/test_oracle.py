@@ -22,8 +22,7 @@ from nmqsim.oracle import (
 )
 from nmqsim.pipeline import simulate
 from nmqsim.presets import preset_params
-from nmqsim.propagator import TimeGrid
-from nmqsim.reconstruction import x_matrix
+from nmqsim.propagator import TimeGrid, x_matrix
 
 SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # raises |0> to |1> (excited first)
 SM = SP.T

@@ -13,8 +13,8 @@ from nmqsim.entanglement import EventKind, extract_events, precursor_from_compon
 from nmqsim.model import ModelParams, build_generator
 from nmqsim.pipeline import simulate
 from nmqsim.presets import PRESETS, default_grid, preset_params
-from nmqsim.propagator import TimeGrid, evolve_x_state, x_state_from_responses
-from nmqsim.reconstruction import physicality_deviations, x_matrix
+from nmqsim.propagator import TimeGrid, evolve_x_state, x_matrix, x_state_from_responses
+from nmqsim.verify import physicality_deviations
 
 
 def test_simulate_shapes_and_initial_state():
@@ -32,8 +32,8 @@ def test_simulate_shapes_and_initial_state():
 
 
 def test_long_grid_refinement_is_quiet():
-    # refinement times near 0 run the response series on every time, which
-    # overflows on the far ones before np.where drops them
+    # refinement times near 0 run the response series on every time, the far
+    # ones included, and no numpy warning may escape
     params = ModelParams.from_detunings(
         omega1=10.0, delta1=0.0, delta2=0.0,
         alpha1=0.3, alpha2=0.3, gamma=1.0, nbar=0.0,

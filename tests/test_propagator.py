@@ -1,22 +1,26 @@
 """Per-qubit responses s(t), u(t) and the X state they build."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from nmqsim.model import ModelParams, build_generator
+from nmqsim.model import InitialTerm, ModelParams, build_generator, initial_coefficients
 from nmqsim.oracle import apply_product_map, bell_state, subsystem_transfer_matrix
 from nmqsim.presets import preset_params
 from nmqsim.propagator import (
     TimeGrid,
     evolve_x_state,
     responses,
+    slow_solution,
     step_powers,
+    x_matrix,
     x_state_from_responses,
 )
-from nmqsim.reconstruction import physicality_deviations, x_matrix
+from nmqsim.verify import physicality_deviations
 
 # reference coefficients for the resonant strongly-coupled scenario,
 # excited-excited term at t = 1, from a 250-digit matrix exponential;
@@ -261,6 +265,25 @@ def test_long_grid_matches_high_precision(name):
             t = mpmath.mpf(grid.points[i])
             assert abs(s[i] - float(mpmath.re(mpmath.expm(pop * t)[0, 0]))) < 2e-15
             assert abs(u[i] - complex(mpmath.expm(coh * t)[0, 0])) < 1e-14
+
+
+def test_far_times_beside_near_ones_are_quiet():
+    # t = 0 runs the divided-difference series, t = 1e20 must not overflow in it
+    params = preset_params("fig3")
+    gens = [build_generator(params, k) for k in (1, 2)]
+    init = initial_coefficients(InitialTerm.EE, params.nbar)
+    times = [0.0, 1e20]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, u = responses(gens[0], times)
+        x_state = evolve_x_state(gens, params.nbar, times)
+        slow = slow_solution(gens[0], init, times)
+    # each time gives what it gives on its own
+    for i, t in enumerate(times):
+        s_alone, u_alone = responses(gens[0], [t])
+        assert s[i] == s_alone[0] and u[i] == u_alone[0]
+    assert all(np.all(np.isfinite(x)) for x in x_state)
+    assert np.isfinite(slow).all()
 
 
 def test_symmetric_pairs_evolve_identically():

@@ -5,8 +5,8 @@ import scipy.linalg
 
 from nmqsim.model import build_generator
 from nmqsim.presets import preset_params
-from nmqsim.propagator import TimeGrid, evolve_x_state, x_state_from_responses
-from nmqsim.reconstruction import physicality_deviations, x_matrix
+from nmqsim.propagator import TimeGrid, evolve_x_state, x_matrix, x_state_from_responses
+from nmqsim.verify import physicality_deviations
 
 BELL = 0.5 * np.array([
     [1, 0, 0, 1],
