@@ -11,17 +11,17 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or configuration error
 (an output directory or file that cannot be written included), 3 numerical
 failure (an unhealthy run, memory exhaustion, or any other ValueError or
 RuntimeError, such as a crossing the event refinement cannot bracket).  A
-sweep runs its points one after another on one thread.
+sweep runs its points one after another on one thread, and a failing point
+is named in its ``numerical failure:`` line.
 
 An event's ``precise`` flag is the library's only record of a crossing
 that the time grid did not resolve.  This module reports those flags, in
-one UserWarning per ``simulate`` or ``sweep`` run.
+one ``warning:`` line on stderr per ``simulate`` or ``sweep`` run.
 """
 
 import argparse
 import dataclasses
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,39 +70,28 @@ def _scenario_from_args(args) -> Scenario:
     return parse_scenario(text)
 
 
-def _warn_grid_limited(
-    limited: list, total: int, what: str, interval="dead", result="crossing times are"
-) -> None:
-    """One warning for the run, naming the items the grid resolution limits."""
+def _warn_grid_limited(limited: list, total: int, what: str) -> None:
+    """One stderr line for the run, naming the items the grid resolution limits."""
     if limited:
-        warnings.warn(
-            f"{len(limited)} of {total} {what} a {interval} interval shorter than two grid "
-            f"steps, so their {result} grid-resolution limited: " + "; ".join(limited),
-            stacklevel=3,
-        )
+        print(f"warning: {len(limited)} of {total} {what}: " + "; ".join(limited), file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:
     scenario = _scenario_from_args(args)
     result = simulate(scenario.params, scenario.grid)
     events = extract_events(result.series, threshold=scenario.threshold)
-    _warn_grid_limited(
-        [f"{e.kind.value} at t={format_number(e.time)}" for e in events if not e.precise],
-        len(events),
-        "events border",
-    )
+    limited = [f"{e.kind.value} at t={format_number(e.time)}" for e in events if not e.precise]
+    _warn_grid_limited(limited, len(events), "events border a dead interval shorter than two "
+                       "grid steps, so their crossing times are grid-resolution limited")
     out = Path(args.out)
     files = [out / "trajectory.csv", out / "events.csv"]
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(files[0], result)
-        write_events_csv(files[1], events)
-        if args.svg:
-            files.append(out / "trajectory.svg")
-            write_svg(files[-1], result)
-        write_run_record(out / "run.json", dataclasses.asdict(scenario), files)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output: {exc}") from None
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(files[0], result)
+    write_events_csv(files[1], events)
+    if args.svg:
+        files.append(out / "trajectory.svg")
+        write_svg(files[-1], result)
+    write_run_record(out / "run.json", dataclasses.asdict(scenario), files)
     print(f"wrote {', '.join(str(f) for f in files)}")
     return EXIT_OK
 
@@ -138,26 +127,27 @@ def cmd_sweep(args) -> int:
     spec = parse_sweep(text)
     rows, limited, short_lived = [], [], []
     for assignment, params in spec.points():
-        row, precise, live_resolved = _sweep_row(assignment, params, spec.grid, spec.threshold)
+        named = ", ".join(f"{k}={format_number(v)}" for k, v in assignment.items())
+        named = named or "the only point"
+        try:
+            row, precise, live_resolved = _sweep_row(assignment, params, spec.grid, spec.threshold)
+        except (ArithmeticError, RuntimeError, ValueError) as exc:
+            raise RuntimeError(f"sweep point {named}: {exc}") from exc
         rows.append(row)
-        named = ", ".join(f"{k}={v}" for k, v in zip(spec.axes, row)) or "the only point"
         if not precise:
             limited.append(named)
         if not live_resolved:
             short_lived.append(named)
-    _warn_grid_limited(limited, len(rows), "sweep rows have")
-    _warn_grid_limited(
-        short_lived, len(rows), "sweep rows have", "live", "concurrence_integral is"
-    )
+    _warn_grid_limited(limited, len(rows), "sweep rows have a dead interval shorter than two "
+                       "grid steps, so their crossing times are grid-resolution limited")
+    _warn_grid_limited(short_lived, len(rows), "sweep rows have a live interval shorter than "
+                       "two grid steps, so their concurrence_integral is grid-resolution limited")
 
     out = Path(args.out)
     path = out / "sweep.csv"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_sweep_csv(path, list(spec.axes), rows)
-        write_run_record(out / "run.json", dataclasses.asdict(spec), [path])
-    except OSError as exc:
-        raise ConfigError(f"cannot write output: {exc}") from None
+    out.mkdir(parents=True, exist_ok=True)
+    write_sweep_csv(path, list(spec.axes), rows)
+    write_run_record(out / "run.json", dataclasses.asdict(spec), [path])
     print(f"wrote {path} ({len(rows)} points)")
     return EXIT_OK
 
@@ -228,6 +218,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # _read_config turns read errors into ConfigError, so this one came from writing output
+        print(f"configuration error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, MemoryError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

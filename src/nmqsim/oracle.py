@@ -43,15 +43,11 @@ __all__ = [
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # raising
 _SM = _SP.T.copy()  # lowering
 _NUM = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # |1><1|
-_I2 = np.eye(2, dtype=complex)
 
 
 def _embed(op: np.ndarray, site: int, nsites: int) -> np.ndarray:
     """op acting on one tensor factor, identity elsewhere (factor order 1..nsites)."""
-    out = np.array([[1.0 + 0.0j]])
-    for n in range(1, nsites + 1):
-        out = np.kron(out, op if n == site else _I2)
-    return out
+    return np.kron(np.kron(np.eye(2 ** (site - 1)), op), np.eye(2 ** (nsites - site)))
 
 
 def _dissipator(jump: np.ndarray) -> np.ndarray:

@@ -609,45 +609,40 @@ def test_sweep_rows_match_simulate(tmp_path):
     assert max(int(r[4]) for r in rows) > 0
 
 
-def test_sweep_names_grid_limited_rows(tmp_path):
+def test_sweep_names_grid_limited_rows(tmp_path, capsys):
     cfg = write_config(tmp_path, "alpha1 = 1:3:10\nnum_points = 101\n")
     out = tmp_path / "coarse"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["sweep", cfg, "--out", str(out)]) == 0
-    assert len(caught) == 1 and caught[0].category is UserWarning
-    message = str(caught[0].message)
-    assert message.startswith("2 of 10 sweep rows ")
-    assert message.split(": ", 1)[1].split("; ") == ["alpha1=2.77777777778", "alpha1=3"]
+    assert main(["sweep", cfg, "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: 2 of 10 sweep rows ")
+    assert err[0].split(": ", 2)[2].split("; ") == ["alpha1=2.77777777778", "alpha1=3"]
     _, rows = read_sweep(out / "sweep.csv")
     assert len(rows) == 10
 
     # a sweep with no axis has one row and nothing to name it by
     cfg = write_config(tmp_path, "alpha1 = 3\nnum_points = 101\n", "one.cfg")
-    with pytest.warns(UserWarning, match="limited: the only point$"):
-        assert main(["sweep", cfg, "--out", str(tmp_path / "one")]) == 0
+    assert main(["sweep", cfg, "--out", str(tmp_path / "one")]) == 0
+    assert capsys.readouterr().err.endswith("limited: the only point\n")
 
 
-def test_sweep_names_rows_with_short_live_intervals(tmp_path):
+def test_sweep_names_rows_with_short_live_intervals(tmp_path, capsys):
     # each row's only live interval, [0, 35.7] and [0, 10.6], lies inside the
     # first grid step of 5e16, where the trapezoid sees only C(0) = 1 and
     # C(step) = 0; both deaths are refined precisely
     cfg = write_config(tmp_path, "t_end = 1e20\nalpha1 = 0.3, 0.5\ngamma = 1\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["sweep", cfg, "--out", str(tmp_path / "long")]) == 0
-    assert [str(w.message) for w in caught] == [
-        "2 of 2 sweep rows have a live interval shorter than two grid steps, so their "
-        "concurrence_integral is grid-resolution limited: alpha1=0.3; alpha1=0.5"
-    ]
+    assert main(["sweep", cfg, "--out", str(tmp_path / "long")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: 2 of 2 sweep rows have a live interval shorter than two grid steps, so their "
+        "concurrence_integral is grid-resolution limited: alpha1=0.3; alpha1=0.5\n"
+    )
 
     # a grid step of 1 resolves both live intervals
     cfg = write_config(
         tmp_path, "t_end = 100\nnum_points = 101\nalpha1 = 0.3, 0.5\ngamma = 1\n", "fine.cfg"
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["sweep", cfg, "--out", str(tmp_path / "fine")]) == 0
+    assert main(["sweep", cfg, "--out", str(tmp_path / "fine")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_never_evaluates_the_eof(tmp_path, monkeypatch):
@@ -673,19 +668,27 @@ def test_sweep_never_evaluates_the_eof(tmp_path, monkeypatch):
     assert traj[:, 9].max() > 0.5
 
 
-def test_simulate_names_grid_limited_events(tmp_path):
+def test_simulate_names_grid_limited_events(tmp_path, capsys):
     cfg = write_config(tmp_path, "alpha1 = 3\nnum_points = 101\n")
     out = tmp_path / "coarse"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["simulate", cfg, "--out", str(out)]) == 0
-    assert len(caught) == 1 and caught[0].category is UserWarning
-    message = str(caught[0].message)
-    assert message.startswith("2 of 7 events ")
+    assert main(["simulate", cfg, "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: 2 of 7 events ")
     rows = [ln.split(",") for ln in (out / "events.csv").read_text().splitlines()[1:]]
     assert len(rows) == 7
     named = [f"{kind} at t={time}" for kind, time, precise in rows if precise == "false"]
-    assert message.split(": ", 1)[1].split("; ") == named and len(named) == 2
+    assert err[0].split(": ", 2)[2].split("; ") == named and len(named) == 2
+
+
+def test_failing_sweep_point_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, "alpha1 = 1, 2, 1e200\ngamma = 0.5, 1\nnum_points = 101\n")
+    out = tmp_path / "overflow"
+    assert main(["sweep", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: sweep point alpha1=1e+200, gamma=0.5: non-finite X-state component\n"
+    )
+    assert not out.exists()
 
 
 def test_late_death_is_refined_at_its_ulp(tmp_path):
