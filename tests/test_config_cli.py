@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cli_scenarios import SCENARIOS, run_scenarios
 from nmqsim import verify
 from nmqsim.cli import main
 from nmqsim.config import GRID_CAP, SWEEP_CAP, ConfigError, parse_scenario, parse_sweep
@@ -24,6 +25,7 @@ from nmqsim.pipeline import simulate
 from nmqsim.presets import PRESETS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+ROWS = {row["name"]: row for row in SCENARIOS}
 
 PRESET_TABLE = {
     # delta, alpha, gamma, nbar
@@ -511,13 +513,11 @@ def test_grid_error_names_its_key(text, key):
         assert err.value.key == key
 
 
-def test_threshold_above_one_is_config_error(tmp_path):
+def test_threshold_above_one_is_config_error():
     with pytest.raises(ConfigError) as err:
         parse_scenario("threshold = 1.5\n")
     assert err.value.key == "threshold"
     assert parse_scenario("threshold = 1\n").threshold == 1.0
-    cfg = write_config(tmp_path, "threshold = 4\nnum_points = 101\n")
-    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_run_record_lists_library_versions(tmp_path):
@@ -620,35 +620,9 @@ def test_sweep_names_grid_limited_rows(tmp_path, capsys):
     _, rows = read_sweep(out / "sweep.csv")
     assert len(rows) == 10
 
-    # a sweep with no axis has one row and nothing to name it by
-    cfg = write_config(tmp_path, "alpha1 = 3\nnum_points = 101\n", "one.cfg")
-    assert main(["sweep", cfg, "--out", str(tmp_path / "one")]) == 0
-    assert capsys.readouterr().err.endswith("limited: the only point\n")
-
-
-def test_sweep_names_rows_with_short_live_intervals(tmp_path, capsys):
-    # each row's only live interval, [0, 35.7] and [0, 10.6], lies inside the
-    # first grid step of 5e16, where the trapezoid sees only C(0) = 1 and
-    # C(step) = 0; both deaths are refined precisely
-    cfg = write_config(tmp_path, "t_end = 1e20\nalpha1 = 0.3, 0.5\ngamma = 1\n")
-    assert main(["sweep", cfg, "--out", str(tmp_path / "long")]) == 0
-    assert capsys.readouterr().err == (
-        "warning: 2 of 2 sweep rows have a live interval shorter than two grid steps, so their "
-        "concurrence_integral is grid-resolution limited: alpha1=0.3; alpha1=0.5\n"
-    )
-
-    # a grid step of 1 resolves both live intervals
-    cfg = write_config(
-        tmp_path, "t_end = 100\nnum_points = 101\nalpha1 = 0.3, 0.5\ngamma = 1\n", "fine.cfg"
-    )
-    assert main(["sweep", cfg, "--out", str(tmp_path / "fine")]) == 0
-    assert capsys.readouterr().err == ""
-
 
 def test_sweep_never_evaluates_the_eof(tmp_path, monkeypatch):
-    cfg = write_config(
-        tmp_path, "alpha1 = 0.5, 2, 5\ngamma = 0.5, 1\nnbar = 0.2\nnum_points = 401\n"
-    )
+    cfg = write_config(tmp_path, ROWS["sweep"]["config"])
     assert main(["sweep", cfg, "--out", str(tmp_path / "plain")]) == 0
 
     def refused(concurrence):
@@ -666,42 +640,6 @@ def test_sweep_never_evaluates_the_eof(tmp_path, monkeypatch):
     traj = np.loadtxt(tmp_path / "sim" / "trajectory.csv", delimiter=",", skiprows=1)
     assert traj[:, 9] == pytest.approx(entanglement_of_formation(traj[:, 7]), abs=1e-9)
     assert traj[:, 9].max() > 0.5
-
-
-def test_simulate_names_grid_limited_events(tmp_path, capsys):
-    cfg = write_config(tmp_path, "alpha1 = 3\nnum_points = 101\n")
-    out = tmp_path / "coarse"
-    assert main(["simulate", cfg, "--out", str(out)]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("warning: 2 of 7 events ")
-    rows = [ln.split(",") for ln in (out / "events.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 7
-    named = [f"{kind} at t={time}" for kind, time, precise in rows if precise == "false"]
-    assert err[0].split(": ", 2)[2].split("; ") == named and len(named) == 2
-
-
-def test_failing_sweep_point_is_named(tmp_path, capsys):
-    cfg = write_config(tmp_path, "alpha1 = 1, 2, 1e200\ngamma = 0.5, 1\nnum_points = 101\n")
-    out = tmp_path / "overflow"
-    assert main(["sweep", cfg, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        "numerical failure: sweep point alpha1=1e+200, gamma=0.5: non-finite X-state component\n"
-    )
-    assert not out.exists()
-
-
-def test_late_death_is_refined_at_its_ulp(tmp_path):
-    # one ulp at t = 789639 is 1.16e-10, so only the relative term of the
-    # stopping rule, 4 eps |t|, lets the refinement of this death finish
-    cfg = write_config(
-        tmp_path,
-        "delta1 = 0\nalpha1 = 0.0007\ngamma = 0.5\nnbar = 0.2\n"
-        "t_end = 4e6\nnum_points = 2001\n",
-    )
-    assert main(["simulate", cfg, "--out", str(tmp_path / "late")]) == 0
-    rows = (tmp_path / "late" / "events.csv").read_text().splitlines()
-    assert rows[1:] == ["FINAL_DEATH,789639.302275,true"]
 
 
 @pytest.mark.parametrize(
@@ -801,6 +739,30 @@ def _source_env():
         [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return env
+
+
+def _outputs(root):
+    """Every file under root by relative path, run.json aside: it holds a timestamp."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file() and path.name != "run.json"
+    }
+
+
+def test_scenario_table(tmp_path):
+    # every row of tests/cli_scenarios.py runs here and then in one fresh
+    # interpreter; both runs check each row, and must leave the same bytes
+    run_scenarios(tmp_path / "here")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(REPO_ROOT / "tests" / "cli_scenarios.py"),
+         str(tmp_path / "there")],
+        capture_output=True, text=True, timeout=300, env=_source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    here, there = _outputs(tmp_path / "here"), _outputs(tmp_path / "there")
+    assert sorted(here) == sorted(there)
+    assert [str(path) for path in sorted(here) if here[path] != there[path]] == []
 
 
 def loaded_scipy_modules(code, *args):

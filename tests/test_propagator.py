@@ -410,50 +410,76 @@ def high_precision_responses(gen, t):
 
 @st.composite
 def box_points(draw):
-    """(params, t) in the box |alpha| in [1e-3, 30], gamma in [0, 100],
-    nbar in [0, 1e3], |delta| <= 30 of either sign, t in [0, 100], omega 10;
-    a third of the draws sit at or near the zero-detuning exceptional point
-    alpha = gamma_eff / 2."""
+    """(params, t) over the values the command line accepts: |alpha| and
+    |delta| in [1e-4, 1e4] of either sign, gamma <= 1e4, nbar <= 1e6 and
+    |omega| up to 1e6, with pair 2 either a copy of pair 1 or drawn on its
+    own.  A third of the draws put pair 1 at or near the zero-detuning
+    exceptional point alpha = gamma_eff / 2.  Only the products of t with
+    the rates enter, so t is drawn in units of the fastest rate of the two
+    pairs, up to 1e6 of them."""
     def log_uniform(low, high):
         return 10.0 ** draw(st.floats(np.log10(low), np.log10(high)))
 
-    alpha = log_uniform(1e-3, 30.0) * draw(st.sampled_from([-1.0, 1.0]))
-    nbar = draw(st.sampled_from([0.0, log_uniform(1e-3, 1e3)]))
+    def signed(value):
+        return value * draw(st.sampled_from([-1.0, 1.0]))
+
+    def pair():
+        return {
+            "omega": signed(draw(st.sampled_from([10.0, log_uniform(1e-4, 1e6)]))),
+            "delta": signed(draw(st.sampled_from([0.0, log_uniform(1e-4, 1e4)]))),
+            "alpha": signed(log_uniform(1e-4, 1e4)),
+        }
+
+    nbar = draw(st.sampled_from([0.0, log_uniform(1e-4, 1e6)]))
+    first = pair()
     if draw(st.integers(0, 2)) == 0:
-        delta = 0.0
+        first["delta"] = 0.0
         rel = draw(st.sampled_from([0.0, 1e-14, -1e-10, 1e-6, -1e-3]))
-        gamma = 2.0 * abs(alpha) / (2.0 * nbar + 1.0) * (1.0 + rel)
+        gamma = 2.0 * abs(first["alpha"]) / (2.0 * nbar + 1.0) * (1.0 + rel)
     else:
-        delta = draw(st.sampled_from([0.0, log_uniform(1e-3, 30.0)])) * draw(st.sampled_from([-1.0, 1.0]))
-        gamma = draw(st.sampled_from([0.0, log_uniform(1e-3, 100.0)]))
-    t = draw(st.floats(0.0, 100.0))
+        gamma = draw(st.sampled_from([0.0, log_uniform(1e-4, 1e4)]))
+    second = draw(st.sampled_from([first, pair()]))
     params = ModelParams.from_detunings(
-        omega1=10.0, delta1=delta, delta2=delta, alpha1=alpha, alpha2=alpha,
-        gamma=gamma, nbar=nbar,
+        omega1=first["omega"], omega2=second["omega"],
+        delta1=first["delta"], delta2=second["delta"],
+        alpha1=first["alpha"], alpha2=second["alpha"], gamma=gamma, nbar=nbar,
     )
+    rate = max(_pair_rates(params, k)[2] for k in (1, 2))
+    t = draw(st.sampled_from([0.0, log_uniform(1e-3, 1e6)])) / rate
     return params, t
+
+
+def _pair_rates(params, k):
+    """Pair k's rates that bound the rounding of s, of u and of the X state.
+
+    Rounding perturbs the phases of the responses, which grow as t times
+    the blocks' oscillation frequencies: at most beat = 2 |alpha| + |delta|
+    for s and |omega| + beat for u, whose damping bounds every other error.
+    The X state, checked against the oracle's product of two 16x16 pair
+    maps whose own error grows with gamma_eff, adds gamma_eff.
+    """
+    beat = 2.0 * abs(params.coupling(k)) + abs(params.detuning(k))
+    omega = abs(params.qubit_frequency(k))
+    return beat, omega + beat, omega + params.gamma_eff + beat
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(box_points())
 def test_accuracy_gate(point):
-    # rounding perturbs the phases of the responses, which grow as t times
-    # the blocks' oscillation frequencies: at most 2 |alpha| + |delta| for s
-    # and |omega| + 2 |alpha| + |delta| for u, whose damping bounds every
-    # other error.  s and u lie within 8 eps (1 + that frequency t) of
-    # 50-digit exponentials.  The X state lies within 16 eps (1 + Lam t),
-    # Lam = |omega| + gamma_eff + 2 |alpha| + |delta|, of the oracle's
-    # product of the two 16x16 pair maps, whose own error grows with gamma_eff
+    # pair k's s and u lie within 8 eps (1 + rate t) of 50-digit
+    # exponentials, with pair k's own rates; the X state lies within
+    # 16 eps (1 + rate t) of the oracle, with the larger of the two pairs'
     params, t = point
-    beat = 2.0 * abs(params.alpha1) + abs(params.delta1)
-    omega = abs(params.omega1)
     gens = [build_generator(params, k) for k in (1, 2)]
-    s, u = responses(gens[0], [t])
-    ref_s, ref_u = high_precision_responses(gens[0], t)
-    assert abs(s[0] - ref_s) <= 8.0 * EPS * (1.0 + beat * t)
-    assert abs(u[0] - ref_u) <= 8.0 * EPS * (1.0 + (omega + beat) * t)
+    # a pair 2 that copies pair 1 evolves identically, so it is checked once
+    for k in (1,) if np.array_equal(*gens) else (1, 2):
+        s_rate, u_rate, _ = _pair_rates(params, k)
+        s, u = responses(gens[k - 1], [t])
+        ref_s, ref_u = high_precision_responses(gens[k - 1], t)
+        assert abs(s[0] - ref_s) <= 8.0 * EPS * (1.0 + s_rate * t)
+        assert abs(u[0] - ref_u) <= 8.0 * EPS * (1.0 + u_rate * t)
     state = x_matrix(*evolve_x_state(gens, params.nbar, [t]))[0]
     maps = [subsystem_transfer_matrix(params, k, t) for k in (1, 2)]
     oracle = apply_product_map(*maps, bell_state())
-    scale = 1.0 + (omega + params.gamma_eff + beat) * t
+    scale = 1.0 + max(_pair_rates(params, k)[2] for k in (1, 2)) * t
     assert np.abs(state - oracle).max() <= 16.0 * EPS * scale
