@@ -186,21 +186,19 @@ def _physical_values(pairs: dict) -> dict:
 
 def _build_params(values: dict) -> ModelParams:
     omega1 = values.get("omega1", 10.0)
-    omega2 = values.get("omega2", omega1)
-    if "omega3" in values or "omega4" in values:
-        omega3 = values.get("omega3", omega1)
-        omega4 = values.get("omega4", omega3)
-    else:
-        # omega_{k+2} = omega_k - delta_k, as in ModelParams.from_detunings
-        delta1 = values.get("delta1", 0.0)
-        omega3 = omega1 - delta1
-        omega4 = omega2 - values.get("delta2", delta1)
     alpha1 = values.get("alpha1", 1.0)
+    shared = dict(
+        omega1=omega1, omega2=values.get("omega2", omega1),
+        alpha1=alpha1, alpha2=values.get("alpha2", alpha1),
+        gamma=values.get("gamma", 0.5), nbar=values.get("nbar", 0.0),
+    )
     try:
-        return ModelParams(
-            omega1=omega1, omega2=omega2, omega3=omega3, omega4=omega4,
-            alpha1=alpha1, alpha2=values.get("alpha2", alpha1),
-            gamma=values.get("gamma", 0.5), nbar=values.get("nbar", 0.0),
+        if "omega3" in values or "omega4" in values:
+            omega3 = values.get("omega3", omega1)
+            return ModelParams(**shared, omega3=omega3, omega4=values.get("omega4", omega3))
+        delta1 = values.get("delta1", 0.0)
+        return ModelParams.from_detunings(
+            **shared, delta1=delta1, delta2=values.get("delta2", delta1)
         )
     except ParameterError as exc:
         # a field the file sets names its key; one computed from several keys

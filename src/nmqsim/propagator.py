@@ -149,6 +149,17 @@ def _response_evaluator(generators):
         raise ValueError(f"each generator must be 9x9, got shape {gens.shape[1:]}")
     if np.any(gens[:, ~_PATTERN]):
         raise ValueError("generator has a nonzero entry where build_generator has none")
+    for L in gens:
+        # the relations both closed forms and slow_solution assume; they hold
+        # bitwise on build_generator's output.  A non-finite generator is
+        # left to the caller's health check
+        diag = L[2, 2]
+        b01b10, b12b21, b13b31 = L[1, 2] * L[2, 1], L[2, 3] * L[3, 2], L[2, 4] * L[4, 2]
+        holds = (L[3, 3] == diag and L[4, 4] == 2.0 * diag and b01b10 == b13b31
+                 and diag.imag == 0.0 and b01b10.imag == 0.0 and b12b21.imag == 0.0
+                 and np.array_equal(L[7:9, 7:9], np.conj(L[5:7, 5:7])))
+        if not holds and np.isfinite(L).all():
+            raise ValueError("generator blocks break the relations build_generator gives them")
     gens = gens[:, :, :, None]  # constants of shape (pairs, 1) broadcast over t
 
     # s, from products of the population block's entries b_ij = L[i+1, j+1]
@@ -249,9 +260,11 @@ def responses(generator, times) -> tuple[np.ndarray, np.ndarray]:
     """Population and coherence responses (s, u) of one pair at each time.
 
     ``times`` is a non-empty 1-d array of finite times >= 0, in any order.
-    The generator must have build_generator's zero pattern; the closed form
-    equals exp(B t)_00 for blocks with b01 b10 = b13 b31 and diagonal
-    (0, -gamma, -gamma, -2 gamma), as every build_generator output has.
+    The closed form equals exp(B t)_00 for blocks with b01 b10 = b13 b31,
+    real products b_ij b_ji and diagonal (0, -gamma, -gamma, -2 gamma), as
+    every build_generator output has.  A finite generator without
+    build_generator's zero pattern, without these relations or whose {7, 8}
+    block is not the conjugate of its {5, 6} block raises ValueError.
     """
     s, u = _response_evaluator([generator])(_checked_times(times))
     return s[0], u[0]

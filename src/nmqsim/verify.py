@@ -1,25 +1,32 @@
 """Self-verification suites run by the `verify` CLI subcommand.
 
-quick: physicality and the analytic-vs-eigenvalue concurrence agreement on
-every preset, using the primary pipeline only.
+Every check reads the primary path the way a user gets it: each preset's
+state and concurrence come from :func:`~nmqsim.pipeline.simulate`, the
+function that writes ``trajectory.csv``, with its run-health check.
+
+quick: physicality, and the eigenvalue-route concurrence against the
+printed concurrence, on every preset.
 
 full: adds the three independent cross-checks (the brute-force 16-dim
 master-equation oracle, Choi-matrix complete positivity, and the
 memory-kernel Volterra solution) plus the map factorization test.
 
 Every check runs to completion and reports PASS or FAIL with its measured
-number; nothing aborts early.  The package carries no fault-injection
-switch: a test in tests/test_config_cli.py replaces this module's
-``build_generator`` with one that flips a sign in the coefficient-space
-generator, and shows that a broken primary path trips the oracle
-comparison.
+number; nothing aborts early.  A check whose run raises ArithmeticError
+(a failed run-health check among them) or ValueError fails under its own
+name with the message, and the others still run.  The package carries no
+fault-injection switch: a test in tests/test_config_cli.py replaces the
+``build_generator`` that ``simulate`` calls with one that scales the qubit
+frequency entries of both coherence blocks, and shows that a broken
+primary path trips the oracle comparison.
 """
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
-from .entanglement import concurrence_general_series, precursor_from_components
+from .entanglement import concurrence_general_series
 from .model import InitialTerm, ModelParams, build_generator, initial_coefficients
 from .nzkernel import solve_nz
 from .oracle import (
@@ -31,8 +38,9 @@ from .oracle import (
     partial_trace_34,
     subsystem_transfer_matrix,
 )
+from .pipeline import simulate
 from .presets import PRESETS, default_grid
-from .propagator import TimeGrid, evolve_x_state, slow_solution, x_matrix
+from .propagator import TimeGrid, slow_solution, x_matrix
 
 __all__ = ["CheckResult", "run_quick", "run_full"]
 
@@ -48,9 +56,24 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-def _rho_series(params: ModelParams, grid: TimeGrid) -> np.ndarray:
-    generators = [build_generator(params, k) for k in (1, 2)]
-    return x_matrix(*evolve_x_state(generators, params.nbar, grid.points))
+def _checked(name: str, measure, *args) -> CheckResult:
+    """Check ``name`` from ``measure(*args)``, which returns (passed, detail).
+
+    A run that raises ArithmeticError or ValueError fails the check with
+    its message.
+    """
+    try:
+        passed, detail = measure(*args)
+    except (ArithmeticError, ValueError) as exc:
+        passed, detail = False, str(exc)
+    return CheckResult(name, passed, detail)
+
+
+def _primary(params: ModelParams, grid: TimeGrid):
+    """X-state matrices of ``simulate``'s run, and the concurrence it prints."""
+    result = simulate(params, grid)
+    rho = x_matrix(result.a, result.b, result.c, result.d, result.f)
+    return rho, result.series.concurrence
 
 
 def physicality_deviations(rhos: np.ndarray):
@@ -66,24 +89,16 @@ def physicality_deviations(rhos: np.ndarray):
     return float(trace_dev), float(herm_dev), float(min_eig)
 
 
-def _physicality_check(name: str, rho: np.ndarray) -> CheckResult:
-    trace_dev, herm_dev, min_eig = physicality_deviations(rho)
+def _physicality(primary):
+    trace_dev, herm_dev, min_eig = physicality_deviations(primary()[0])
     ok = trace_dev < 1e-9 and herm_dev < 1e-12 and min_eig > -1e-9
-    detail = f"trace dev {trace_dev:.2e}, herm dev {herm_dev:.2e}, min eig {min_eig:.2e}"
-    return CheckResult(f"physicality[{name}]", ok, detail)
+    return ok, f"trace dev {trace_dev:.2e}, herm dev {herm_dev:.2e}, min eig {min_eig:.2e}"
 
 
-def _concurrence_check(name: str, rho: np.ndarray):
-    try:
-        b, c, f = rho[:, 1, 1].real, rho[:, 2, 2].real, rho[:, 0, 3]
-        analytic = np.clip(precursor_from_components(b, c, f), 0.0, 1.0)
-        general = concurrence_general_series(rho)
-        dev = float(np.abs(analytic - general).max())
-        return CheckResult(
-            f"concurrence-routes[{name}]", dev <= 1e-10, f"max deviation {dev:.2e}"
-        )
-    except ValueError as exc:
-        return CheckResult(f"concurrence-routes[{name}]", False, str(exc))
+def _concurrence_routes(primary):
+    rho, printed = primary()
+    dev = float(np.abs(printed - concurrence_general_series(rho)).max())
+    return dev <= 1e-10, f"max deviation {dev:.2e}"
 
 
 def run_quick(grid: TimeGrid | None = None):
@@ -91,25 +106,26 @@ def run_quick(grid: TimeGrid | None = None):
     grid = grid or default_grid()
     results = []
     for name, preset in PRESETS.items():
-        rho = _rho_series(preset.params(), grid)
-        results.append(_physicality_check(name, rho))
-        results.append(_concurrence_check(name, rho))
+        # one run shared by both checks; a run that raises raises for each
+        primary = cache(partial(_primary, preset.params(), grid))
+        results.append(_checked(f"physicality[{name}]", _physicality, primary))
+        results.append(_checked(f"concurrence-routes[{name}]", _concurrence_routes, primary))
     return results
 
 
 _ORACLE_PRESETS = ("fig2", "fig3", "fig6")
 
 
-def _oracle_check(name: str, grid: TimeGrid) -> CheckResult:
+def _oracle_equivalence(name: str, grid: TimeGrid):
     params = PRESETS[name].params()
-    primary = _rho_series(params, grid)
+    primary, _ = _primary(params, grid)
     full0 = full_initial_state(bell_state(), params.nbar)
     reduced = partial_trace_34(evolve_full(params, full0, grid))
     dev = float(np.abs(primary - reduced).max())
-    return CheckResult(f"oracle-equivalence[{name}]", dev <= 1e-8, f"max deviation {dev:.2e}")
+    return dev <= 1e-8, f"max deviation {dev:.2e}"
 
 
-def _choi_check(nbar: float) -> CheckResult:
+def _choi_positivity(nbar: float):
     alphas = (0.5, 1.0, 2.0, 3.5, 5.0)
     times = (0.25, 1.0, 2.5, 5.0, 10.0)
     worst = np.inf
@@ -120,12 +136,10 @@ def _choi_check(nbar: float) -> CheckResult:
         )
         chois = choi_of_subsystem_map(params, 1, times)
         worst = min(worst, float(np.linalg.eigvalsh(chois).min()))
-    return CheckResult(
-        f"choi-positivity[nbar={nbar:g}]", worst >= -1e-8, f"min eigenvalue {worst:.2e}"
-    )
+    return worst >= -1e-8, f"min eigenvalue {worst:.2e}"
 
 
-def _nz_check(t_end: float = 10.0) -> CheckResult:
+def _nz_volterra(t_end: float):
     params = PRESETS["fig4"].params()
     gen = build_generator(params, 1)
     inits = [initial_coefficients(term, params.nbar) for term in (InitialTerm.EE, InitialTerm.EG)]
@@ -138,24 +152,17 @@ def _nz_check(t_end: float = 10.0) -> CheckResult:
         devs[dt] = float(np.abs(nz - direct).max())
     ratio = devs[2e-3] / devs[1e-3]
     ok = devs[1e-3] <= 2e-4 and 3.5 <= ratio <= 4.5
-    return CheckResult(
-        "nz-volterra",
-        ok,
-        f"max deviation {devs[1e-3]:.2e} at dt=1e-3, convergence ratio {ratio:.2f}",
-    )
+    return ok, f"max deviation {devs[1e-3]:.2e} at dt=1e-3, convergence ratio {ratio:.2f}"
 
 
-def _factorization_check(name: str, t: float) -> CheckResult:
+def _map_factorization(name: str, t: float):
     params = PRESETS[name].params()
-    grid = TimeGrid(t, 3)
-    primary = _rho_series(params, grid)[-1]
+    primary = _primary(params, TimeGrid(t, 3))[0][-1]
     t1 = subsystem_transfer_matrix(params, 1, t)
     t2 = subsystem_transfer_matrix(params, 2, t)
     product = apply_product_map(t1, t2, bell_state())
     dev = float(np.abs(primary - product).max())
-    return CheckResult(
-        f"map-factorization[{name}]", dev <= 1e-8, f"max deviation {dev:.2e}"
-    )
+    return dev <= 1e-8, f"max deviation {dev:.2e}"
 
 
 def run_full(fast: bool = False):
@@ -167,9 +174,9 @@ def run_full(fast: bool = False):
     grid = TimeGrid(2.0, 201) if fast else default_grid()
     results = run_quick(grid=grid)
     for name in _ORACLE_PRESETS:
-        results.append(_oracle_check(name, grid))
+        results.append(_checked(f"oracle-equivalence[{name}]", _oracle_equivalence, name, grid))
     for nbar in (0.0, 0.2):
-        results.append(_choi_check(nbar))
-    results.append(_nz_check(t_end=2.0 if fast else 10.0))
-    results.append(_factorization_check("fig2", 1.0))
+        results.append(_checked(f"choi-positivity[nbar={nbar:g}]", _choi_positivity, nbar))
+    results.append(_checked("nz-volterra", _nz_volterra, 2.0 if fast else 10.0))
+    results.append(_checked("map-factorization[fig2]", _map_factorization, "fig2", 1.0))
     return results

@@ -21,7 +21,7 @@ runs the table in-process and then once more in a second process, and
 requires every file the two runs leave, ``run.json`` aside, to be
 byte-identical. To run it alone into a fresh directory::
 
-    PYTHONPATH=src python -W error::RuntimeWarning tests/cli_scenarios.py OUT_ROOT
+    PYTHONPATH=src python -W error tests/cli_scenarios.py OUT_ROOT
 """
 
 import io
@@ -128,6 +128,91 @@ SCENARIOS = [
         "exit": 2,
         "stderr": "configuration error: key 'threshold' must lie in (0, 1]\n",
     },
+    # a coupling that overflows the responses: the run-health check names
+    # it on one line, with no numpy warning before it, and nothing is written
+    {
+        "name": "overflow",
+        "argv": SIMULATE,
+        "config": "alpha1 = 1e200\n",
+        "exit": 3,
+        "stderr": "numerical failure: non-finite X-state component\n",
+    },
+    # a subnormal or zero grid step cannot resolve uniform samples; the
+    # sweep refuses it before running a point
+    {
+        "name": "subnormal-step",
+        "argv": SIMULATE,
+        "config": "t_end = 1e-310\n",
+        "exit": 2,
+        "stderr": "configuration error: grid step 5e-314 is below the smallest normal float\n",
+    },
+    {
+        "name": "subnormal-step-sweep",
+        "argv": SWEEP,
+        "config": "alpha1 = 1, 2\nt_end = 1e-310\n",
+        "exit": 2,
+        "stderr": "configuration error: grid step 5e-314 is below the smallest normal float\n",
+    },
+    {
+        "name": "zero-step",
+        "argv": SIMULATE,
+        "config": "t_end = 5e-324\n",
+        "exit": 2,
+        "stderr": "configuration error: grid step 0 is below the smallest normal float\n",
+    },
+    {
+        "name": "zero-step-sweep",
+        "argv": SWEEP,
+        "config": "alpha1 = 1, 2\nt_end = 5e-324\n",
+        "exit": 2,
+        "stderr": "configuration error: grid step 0 is below the smallest normal float\n",
+    },
+    # "preset = fig3 # x" would read as fig3 once the comment is stripped,
+    # so the flag is checked before it becomes a config line
+    {
+        "name": "preset-comment",
+        "argv": ["simulate", "--preset", "fig3 # x", "--out", "{out}"],
+        "exit": 2,
+        "stderr": "configuration error: unknown preset 'fig3 # x'\n",
+    },
+    # usage errors: no scenario, two scenarios, an unreadable file, a grid
+    # of one point and an unknown key
+    {
+        "name": "no-scenario",
+        "argv": ["simulate", "--out", "{out}"],
+        "exit": 2,
+        "stderr": "configuration error: give a config file or --preset\n",
+    },
+    {
+        "name": "config-and-preset",
+        "argv": ["simulate", "{config}", "--preset", "fig2", "--out", "{out}"],
+        "config": "preset = fig2\n",
+        "exit": 2,
+        "stderr": "configuration error: give either a config file or --preset, not both\n",
+    },
+    {
+        "name": "missing-config",
+        "argv": SIMULATE,
+        "exit": 2,
+        "stderr": (
+            "configuration error: cannot read config file: "
+            "[Errno 2] No such file or directory: '{root}/missing-config.cfg'\n"
+        ),
+    },
+    {
+        "name": "too-few-points",
+        "argv": SIMULATE,
+        "config": "num_points = 0\n",
+        "exit": 2,
+        "stderr": "configuration error: num_points 0 is less than 2\n",
+    },
+    {
+        "name": "unknown-key",
+        "argv": SIMULATE,
+        "config": "alpha7 = 1\n",
+        "exit": 2,
+        "stderr": "configuration error: unknown configuration key 'alpha7'\n",
+    },
     {
         "name": "sweep",
         "argv": SWEEP,
@@ -178,7 +263,7 @@ SCENARIOS = [
 
 
 def run_scenarios(root) -> None:
-    """Run each row under ``root`` with RuntimeWarning as an error, and check it.
+    """Run each row under ``root`` with every warning an error, and check it.
 
     Row NAME reads ``root/NAME.cfg`` and writes under ``root/NAME/``; its
     stdout and stderr, with ``root`` spelled ``{root}``, are kept in
@@ -196,7 +281,7 @@ def run_scenarios(root) -> None:
         argv = [arg.format(config=config, out=out, root=root) for arg in row["argv"]]
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             code = main(argv)
         streams = {}
         for suffix, stream in (("stdout", stdout), ("stderr", stderr)):

@@ -2,12 +2,12 @@
 
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import brentq
 
+from high_precision import high_precision_responses
 from nmqsim import propagator
 from nmqsim.entanglement import EventKind, extract_events, precursor_from_components
 from nmqsim.model import ModelParams, build_generator
@@ -93,16 +93,6 @@ def single_time_precursor(params):
         return float(precursor_from_components(b, c, f)[0])
 
     return at
-
-
-def high_precision_responses(gen, t):
-    """s and u of one pair at time t from 50-digit exponentials of its blocks."""
-    with mpmath.workdps(50):
-        s, u = (
-            mpmath.expm(mpmath.matrix(gen[sl, sl].tolist()) * mpmath.mpf(t))[0, 0]
-            for sl in (slice(1, 5), slice(5, 7))
-        )
-        return float(mpmath.re(s)), complex(u)
 
 
 def reference_precursor(params):

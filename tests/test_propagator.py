@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from high_precision import high_precision_responses
 from nmqsim.model import InitialTerm, ModelParams, build_generator, initial_coefficients
 from nmqsim.oracle import apply_product_map, bell_state, subsystem_transfer_matrix
 from nmqsim.presets import preset_params
@@ -187,11 +188,9 @@ def test_exceptional_point_sweep():
             gen = build_generator(params, 1)
             for t in (0.5, 2.0, 10.0):
                 s, u = responses(gen, [t])
-                with mpmath.workdps(50):
-                    ref_s = mpmath.expm(mpmath.matrix(gen[1:5, 1:5].tolist()) * t)[0, 0]
-                    ref_u = mpmath.expm(mpmath.matrix(gen[5:7, 5:7].tolist()) * t)[0, 0]
-                assert abs(s[0] - float(mpmath.re(ref_s))) < 1e-12
-                assert abs(u[0] - complex(ref_u)) < 1e-12
+                ref_s, ref_u = high_precision_responses(gen, t)
+                assert abs(s[0] - ref_s) < 1e-12
+                assert abs(u[0] - ref_u) < 1e-12
             grid = TimeGrid(10.0, 201)
             rho = x_matrix(*evolve_x_state(
                 [build_generator(params, k) for k in (1, 2)], nbar, grid.points
@@ -259,12 +258,10 @@ def test_long_grid_matches_high_precision(name):
     gen = build_generator(LONG_GRID_POINTS[name], 1)
     grid = TimeGrid(10.0, 20001)
     s, u = responses(gen, grid.points)
-    with mpmath.workdps(50):
-        pop, coh = (mpmath.matrix(gen[sl, sl].tolist()) for sl in (slice(1, 5), slice(5, 7)))
-        for i in (1, 4097, 8193, 16383, 16385, 20000):
-            t = mpmath.mpf(grid.points[i])
-            assert abs(s[i] - float(mpmath.re(mpmath.expm(pop * t)[0, 0]))) < 2e-15
-            assert abs(u[i] - complex(mpmath.expm(coh * t)[0, 0])) < 1e-14
+    for i in (1, 4097, 8193, 16383, 16385, 20000):
+        ref_s, ref_u = high_precision_responses(gen, grid.points[i])
+        assert abs(s[i] - ref_s) < 2e-15
+        assert abs(u[i] - ref_u) < 1e-14
 
 
 def test_far_times_beside_near_ones_are_quiet():
@@ -321,17 +318,29 @@ def test_negative_times_rejected():
 
 
 def test_blocks_off_the_generator_pattern_rejected():
-    # the closed forms hold on build_generator's zero pattern only; the sign
-    # flip that test_verify_catches_corrupted_generator makes keeps that pattern
+    # the closed forms hold on build_generator's zero pattern and block
+    # relations only; a generator that breaks either is refused rather than
+    # evaluated to a wrong answer
     gen = build_generator(preset_params("fig3"), 1)
-    flipped = gen.copy()
-    flipped[1, 2] = -flipped[1, 2]
-    assert np.all(np.isfinite(responses(flipped, [1.0])[0]))
-    for entry in [(0, 0), (1, 1), (1, 3), (2, 5), (7, 5)]:
+
+    def changed(entry, value):
         bad = gen.copy()
-        bad[entry] = 0.5
-        with pytest.raises(ValueError, match="build_generator"):
-            responses(bad, [1.0])
+        bad[entry] = value
+        return bad
+
+    for entry in [(0, 0), (1, 1), (1, 3), (2, 5), (7, 5)]:
+        with pytest.raises(ValueError, match="build_generator has none"):
+            responses(changed(entry, 0.5), [1.0])
+    for entry, value in [((1, 2), -gen[1, 2]), ((4, 4), -0.1), ((3, 3), 1.5 * gen[3, 3]),
+                         ((7, 7), 1.01 * gen[7, 7])]:
+        with pytest.raises(ValueError, match="relations build_generator"):
+            responses(changed(entry, value), [1.0])
+    # the closed form never reads L[4, 4], yet -0.1 there takes s(1) from 0.0498 to 0.204
+    s_44 = high_precision_responses(changed((4, 4), -0.1), 1.0)[0]
+    assert s_44 > responses(gen, [1.0])[0][0] + 0.15
+    # a non-finite generator is evaluated, and left to the run-health check
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(responses(changed((6, 6), np.inf), [1.0])[1]).all()
 
 
 EPS = np.finfo(float).eps
@@ -395,17 +404,6 @@ def test_stiff_coherence_matches_high_precision():
         assert abs(s_t - ref_s) <= 4.0 * EPS
         assert abs(u_t - ref_u) <= 4.0 * EPS * (1.0 + 10.0 * t)
 
-
-
-
-def high_precision_responses(gen, t):
-    """s and u of one pair at time t from 50-digit exponentials of its blocks."""
-    with mpmath.workdps(50):
-        s, u = (
-            mpmath.expm(mpmath.matrix(gen[sl, sl].tolist()) * mpmath.mpf(t))[0, 0]
-            for sl in (slice(1, 5), slice(5, 7))
-        )
-        return float(mpmath.re(s)), complex(u)
 
 
 @st.composite
