@@ -317,6 +317,25 @@ def test_simulate_svg(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_simulate_usage_errors(tmp_path):
+    assert main(["simulate", "--out", str(tmp_path)]) == 2  # no scenario at all
+    cfg = write_config(tmp_path, "preset = fig2\n")
+    assert main(["simulate", cfg, "--preset", "fig2", "--out", str(tmp_path)]) == 2
+    assert main(["simulate", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2
+    bad = write_config(tmp_path, "num_points = 0\n", "bad.cfg")
+    assert main(["simulate", bad, "--out", str(tmp_path)]) == 2
+    unknown = write_config(tmp_path, "alpha7 = 1\n", "unknown.cfg")
+    assert main(["simulate", unknown, "--out", str(tmp_path)]) == 2
+
+
+def test_preset_flag_is_validated_before_it_becomes_a_line(tmp_path, capsys):
+    # "preset = fig3 # x" would read as fig3 once the comment is stripped
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "fig3 # x", "--out", str(out)]) == 2
+    assert "unknown preset" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def read_sweep(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -432,6 +451,28 @@ def test_memory_error_exit_code(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_unhealthy_run_exit_code(tmp_path):
+    # the coupling overflows the exponentials; nothing may be written
+    cfg = write_config(tmp_path, "alpha1 = 1e200\n")
+    out = tmp_path / "overflow"
+    with np.errstate(all="ignore"):
+        assert main(["simulate", cfg, "--out", str(out)]) == 3
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_unhealthy_run_is_quiet(tmp_path, capsys):
+    # the run-health check reports the overflow; numpy must not warn first
+    cfg = write_config(tmp_path, "alpha1 = 1e200\n")
+    out = tmp_path / "overflow"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_unwritable_output_exit_code(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n", encoding="utf-8")
@@ -442,6 +483,18 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     assert main(["sweep", cfg, "--out", str(blocker / "sub")]) == 2
     assert capsys.readouterr().err.startswith("configuration error: cannot write output: ")
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("t_end", ["1e-310", "5e-324"])
+def test_subnormal_grid_step_exit_code(tmp_path, capsys, t_end):
+    cfg = write_config(tmp_path, f"t_end = {t_end}\n")
+    assert main(["simulate", cfg, "--out", str(tmp_path / "sim")]) == 2
+    sweep_cfg = write_config(tmp_path, f"alpha1 = 1, 2\nt_end = {t_end}\n", "sweep.cfg")
+    assert main(["sweep", sweep_cfg, "--out", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("configuration error: ") for line in err)
+    assert not (tmp_path / "sim").exists() and not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize(
