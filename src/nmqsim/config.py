@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import DEFAULT_THRESHOLD
 from .model import ModelParams, ParameterError
 from .presets import DEFAULT_NUM_POINTS, DEFAULT_T_END, PRESETS
 from .propagator import TimeGrid
@@ -75,7 +76,7 @@ class ConfigError(ValueError):
 class Scenario:
     params: ModelParams
     grid: TimeGrid
-    threshold: float = 1e-6
+    threshold: float = DEFAULT_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class SweepSpec:
     axes: dict  # key -> list of float values, insertion-ordered
     fixed: dict  # key -> single float
     grid: TimeGrid
-    threshold: float = 1e-6
+    threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
         if self.size() > SWEEP_CAP:
@@ -229,7 +230,7 @@ def _build_grid(pairs: dict) -> TimeGrid:
 
 
 def _threshold(pairs: dict) -> float:
-    value = _parse_float("threshold", pairs.get("threshold", "1e-6"))
+    value = _parse_float("threshold", pairs.get("threshold", str(DEFAULT_THRESHOLD)))
     # the revival level sqrt(threshold) must not lie below the death level
     if not 0.0 < value <= 1.0:
         raise ConfigError("key 'threshold' must lie in (0, 1]", key="threshold")

@@ -22,6 +22,7 @@ from .model import ModelParams
 from .propagator import TimeGrid
 
 __all__ = [
+    "DEFAULT_THRESHOLD",
     "EventKind",
     "EntanglementEvent",
     "EntanglementSeries",
@@ -34,6 +35,9 @@ __all__ = [
 
 # largest Hermiticity, trace or negative-eigenvalue defect accepted as a state
 INPUT_TOL = 1e-6
+
+#: Death level of :func:`extract_events` and of scenario files that set none.
+DEFAULT_THRESHOLD = 1e-6
 
 # sigma_y (x) sigma_y is anti-diagonal in the (|11>,|10>,|01>,|00>) product
 # basis, with row signs (-1, 1, 1, -1); the value is ordering-independent up
@@ -214,7 +218,7 @@ def _scan(s: np.ndarray, threshold: float):
     return events
 
 
-def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
+def extract_events(series: EntanglementSeries, threshold: float = DEFAULT_THRESHOLD):
     """Detect entanglement deaths and revivals from the precursor.
 
     The precursor of this model touches zero tangentially in several
@@ -232,9 +236,9 @@ def extract_events(series: EntanglementSeries, threshold: float = 1e-6):
 
     The revival level lies at or above the death level only for
     threshold <= 1, so threshold must lie in (0, 1].  With the default
-    1e-6 the revival level is 1e-3, the measurable-concurrence scale.  If
-    the series ends in the dead state the last DEATH is reported as
-    FINAL_DEATH.
+    DEFAULT_THRESHOLD = 1e-6 the revival level is 1e-3, the
+    measurable-concurrence scale.  If the series ends in the dead state
+    the last DEATH is reported as FINAL_DEATH.
 
     The brackets come from a scan with no Python loop over samples (see
     _scan).  All crossing times are refined together (see _refine) on

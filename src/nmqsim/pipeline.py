@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import EntanglementSeries, precursor_from_components
-from .model import ModelParams, build_generator
+from .model import ModelParams
 from .propagator import TimeGrid, _response_evaluator, x_state_from_responses
 
 __all__ = ["HEALTH_TOL", "RunHealthError", "SimulationResult", "simulate"]
@@ -62,10 +62,9 @@ def simulate(params: ModelParams, grid: TimeGrid) -> SimulationResult:
     Raises RunHealthError, an ArithmeticError, when the components are
     non-finite or not a density matrix to within HEALTH_TOL.
     """
-    generators = [build_generator(params, k) for k in (1, 2)]
     # overflow and NaN are reported once, by the health check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        responses_at = _response_evaluator(generators)
+        responses_at = _response_evaluator([(params, 1), (params, 2)])
         (s1, s2), (u1, u2) = responses_at(grid.points)
         a, b, c, d, f = x_state_from_responses(s1, u1, s2, u2, params.nbar)
     _check_health(a, b, c, d, f)

@@ -2,8 +2,9 @@
 
 Each qubit couples to its own memory atom and bath, so the two pairs
 evolve independently and qubit k enters the reduced two-qubit state only
-through two scalar functions of time, read off its 9x9 generator L_k
-(see :mod:`nmqsim.model`):
+through two scalar functions of time, fixed by its coupling, detuning,
+frequencies and gamma_eff and read off its 9x9 generator
+L_k = build_generator(params, k) (see :mod:`nmqsim.model`):
 
     s_k(t) = [exp(B_k t)]_00,   B_k = L_k[1:5, 1:5]   population response
     u_k(t) = [exp(C_k t)]_00,   C_k = L_k[5:7, 5:7]   coherence response
@@ -20,7 +21,10 @@ state (|00> + |11>)/sqrt(2) evolves into the X state
 :func:`x_matrix` builds the 4x4 matrix of these five numbers for the cross-checks.
 
 Both responses are closed forms, elementwise in t, read from the block
-entries; no matrix exponential is taken.
+entries; no matrix exponential is taken.  The functions here take the
+pair's :class:`~nmqsim.model.ModelParams` and build L_k themselves, so
+build_generator stays the one statement of the equations of motion and
+the block relations the closed forms rely on hold by construction.
 
 s: write gamma = gamma_eff and X = B + gamma I.  X has the even
 characteristic polynomial mu^4 - P mu^2 - Q, so X^2 satisfies
@@ -54,8 +58,6 @@ shifted roots over the one formed without cancellation (Higham,
 section 1.8); the shift keeps the qubit frequency out of that quotient.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from dataclasses import dataclass
@@ -73,11 +75,6 @@ __all__ = [
     "x_matrix",
     "x_state_from_responses",
 ]
-
-# entries that build_generator can make nonzero, taken at a point where all are
-_PATTERN = build_generator(ModelParams.from_detunings(
-    omega1=3.0, delta1=1.0, delta2=1.0, alpha1=1.0, alpha2=1.0, gamma=1.0, nbar=1.0,
-), 1) != 0
 
 # 1 / n! for the divided-difference series; with t^2 (x+ - x-) < 1 the terms
 # of Dg and Dh beyond k = 10 fall below 2^-60 of the sums
@@ -137,30 +134,16 @@ def step_powers(first, step_map, n: int) -> np.ndarray:
     return out
 
 
-def _response_evaluator(generators):
-    """Evaluator t -> (s, u) of the given pairs, each of shape (pairs,) + shape(t).
+def _response_evaluator(pairs):
+    """Evaluator t -> (s, u) of the given (params, k) pairs, each of shape (pairs,) + shape(t).
 
-    The constants of both closed forms are computed once per pair, so each
-    call is a fixed number of elementwise operations.  Times are not
-    checked here: they must be finite and >= 0, as :func:`responses` checks.
+    The constants of both closed forms are read from the blocks of each
+    pair's :func:`~nmqsim.model.build_generator` once, so each call is a
+    fixed number of elementwise operations.  Times are not checked here:
+    they must be finite and >= 0, as :func:`responses` checks.
     """
-    gens = np.asarray(generators, dtype=complex)
-    if gens.ndim != 3 or gens.shape[1:] != (9, 9):
-        raise ValueError(f"each generator must be 9x9, got shape {gens.shape[1:]}")
-    if np.any(gens[:, ~_PATTERN]):
-        raise ValueError("generator has a nonzero entry where build_generator has none")
-    for L in gens:
-        # the relations both closed forms and slow_solution assume; they hold
-        # bitwise on build_generator's output.  A non-finite generator is
-        # left to the caller's health check
-        diag = L[2, 2]
-        b01b10, b12b21, b13b31 = L[1, 2] * L[2, 1], L[2, 3] * L[3, 2], L[2, 4] * L[4, 2]
-        holds = (L[3, 3] == diag and L[4, 4] == 2.0 * diag and b01b10 == b13b31
-                 and diag.imag == 0.0 and b01b10.imag == 0.0 and b12b21.imag == 0.0
-                 and np.array_equal(L[7:9, 7:9], np.conj(L[5:7, 5:7])))
-        if not holds and np.isfinite(L).all():
-            raise ValueError("generator blocks break the relations build_generator gives them")
-    gens = gens[:, :, :, None]  # constants of shape (pairs, 1) broadcast over t
+    # constants of shape (pairs, 1) broadcast over t
+    gens = np.array([build_generator(params, k) for params, k in pairs])[:, :, :, None]
 
     # s, from products of the population block's entries b_ij = L[i+1, j+1]
     gamma = -gens[:, 2, 2].real
@@ -256,17 +239,16 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def responses(generator, times) -> tuple[np.ndarray, np.ndarray]:
-    """Population and coherence responses (s, u) of one pair at each time.
+def responses(params: ModelParams, k: int, times) -> tuple[np.ndarray, np.ndarray]:
+    """Population and coherence responses (s, u) of pair k at each time.
 
     ``times`` is a non-empty 1-d array of finite times >= 0, in any order.
-    The closed form equals exp(B t)_00 for blocks with b01 b10 = b13 b31,
-    real products b_ij b_ji and diagonal (0, -gamma, -gamma, -2 gamma), as
-    every build_generator output has.  A finite generator without
-    build_generator's zero pattern, without these relations or whose {7, 8}
-    block is not the conjugate of its {5, 6} block raises ValueError.
+    s(t) = exp(B t)_00 and u(t) = exp(C t)_00 for the blocks of
+    ``build_generator(params, k)``, whose relations b01 b10 = b13 b31, real
+    products b_ij b_ji and diagonal (0, -gamma, -gamma, -2 gamma) the closed
+    forms rely on.
     """
-    s, u = _response_evaluator([generator])(_checked_times(times))
+    s, u = _response_evaluator([(params, k)])(_checked_times(times))
     return s[0], u[0]
 
 
@@ -304,18 +286,17 @@ def x_matrix(a, b, c, d, f) -> np.ndarray:
     return rho
 
 
-def evolve_x_state(generators, nbar: float, times):
+def evolve_x_state(params: ModelParams, times):
     """X-state components (a, b, c, d, f) of the evolved Bell state at each time.
 
-    ``generators`` are the 9x9 generators of pairs 1 and 2; ``times`` are
-    as for :func:`responses`.
+    ``times`` are as for :func:`responses`.
     """
-    (s1, s2), (u1, u2) = _response_evaluator(generators)(_checked_times(times))
-    return x_state_from_responses(s1, u1, s2, u2, nbar)
+    s, u = _response_evaluator([(params, 1), (params, 2)])(_checked_times(times))
+    return x_state_from_responses(s[0], u[0], s[1], u[1], params.nbar)
 
 
-def slow_solution(generator, init, times) -> np.ndarray:
-    """``exp(L t) c(0)`` on the slow indices 0, 1, 5, 7, shape (len(times), 9).
+def slow_solution(params: ModelParams, k: int, init, times) -> np.ndarray:
+    """``exp(L t) c(0)`` of pair k on the slow indices 0, 1, 5, 7, shape (len(times), 9).
 
     c(0) must be finite and vanish on the other indices.  Index 0 is
     stationary, index 1 scales by s(t), index 5 by u(t) and index 7 by
@@ -327,7 +308,7 @@ def slow_solution(generator, init, times) -> np.ndarray:
         raise ValueError("initial vector must have 9 components, zero off indices 0, 1, 5, 7")
     if not np.isfinite(init).all():
         raise ValueError("initial vector must be finite")
-    s, u = responses(generator, times)
+    s, u = responses(params, k, times)
     out = np.zeros((s.size, 9), dtype=complex)
     out[:, 0] = init[0]
     out[:, 1] = s * init[1]

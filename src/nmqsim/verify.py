@@ -15,10 +15,12 @@ Every check runs to completion and reports PASS or FAIL with its measured
 number; nothing aborts early.  A check whose run raises ArithmeticError
 (a failed run-health check among them) or ValueError fails under its own
 name with the message, and the others still run.  The package carries no
-fault-injection switch: a test in tests/test_config_cli.py replaces the
-``build_generator`` that ``simulate`` calls with one that scales the qubit
-frequency entries of both coherence blocks, and shows that a broken
-primary path trips the oracle comparison.
+fault-injection switch: a test in tests/test_config_cli.py replaces
+``nmqsim.propagator.build_generator``, the name the closed forms look up,
+with one that scales the qubit frequency entries of both coherence blocks.
+It shows that a broken primary path trips the oracle comparison, and the
+memory-kernel check too: its Volterra solve uses the generator built here,
+and its reference is the closed forms that ``simulate`` evaluates.
 """
 
 from dataclasses import dataclass
@@ -148,7 +150,7 @@ def _nz_volterra(t_end: float):
         grid = TimeGrid(t_end, int(round(t_end / dt)) + 1)
         # grid by keyword: perfbench/tracer.py reads the step count from it
         nz = solve_nz(gen, np.stack(inits), grid=grid)
-        direct = np.stack([slow_solution(gen, init, grid.points) for init in inits], axis=1)
+        direct = np.stack([slow_solution(params, 1, init, grid.points) for init in inits], axis=1)
         devs[dt] = float(np.abs(nz - direct).max())
     ratio = devs[2e-3] / devs[1e-3]
     ok = devs[1e-3] <= 2e-4 and 3.5 <= ratio <= 4.5

@@ -35,6 +35,17 @@ from nmqsim.cli import main
 SIMULATE = ["simulate", "{config}", "--out", "{out}"]
 SWEEP = ["sweep", "{config}", "--out", "{out}"]
 
+# config faults that both readers name with the same line: (name, config,
+# message); each becomes a simulate row NAME and a sweep row NAME-sweep
+CONFIG_FAULTS = [
+    ("no-equals", "alpha1 1.5\n", "line 1: expected key = value, got 'alpha1 1.5'"),
+    ("no-value", "alpha1 =\n", "key 'alpha1' has no value"),
+    ("infinite", "gamma = inf\n", "key 'gamma' must be finite"),
+    ("range-parts", "alpha1 = 1:2\n", "key 'alpha1': range syntax is lo:hi:n"),
+    ("range-count", "alpha1 = 1:2:x\n", "key 'alpha1': range count must be an integer"),
+    ("range-order", "alpha1 = 2:1:5\n", "key 'alpha1': range needs hi > lo and n >= 2"),
+]
+
 SCENARIOS = [
     {"name": "fig3", "argv": ["simulate", "--preset", "fig3", "--out", "{out}"]},
     {"name": "fig6", "argv": ["simulate", "--preset", "fig6", "--out", "{out}"]},
@@ -213,6 +224,17 @@ SCENARIOS = [
         "exit": 2,
         "stderr": "configuration error: unknown configuration key 'alpha7'\n",
     },
+    *(
+        {
+            "name": name + suffix,
+            "argv": argv,
+            "config": config,
+            "exit": 2,
+            "stderr": f"configuration error: {message}\n",
+        }
+        for name, config, message in CONFIG_FAULTS
+        for suffix, argv in (("", SIMULATE), ("-sweep", SWEEP))
+    ),
     {
         "name": "sweep",
         "argv": SWEEP,

@@ -102,7 +102,7 @@ def test_criterion_5_memory_kernel_equivalence():
     worst = {}
     for num_points in (10001, 5001):  # dt = 1e-3 and 2e-3
         grid = TimeGrid(10.0, num_points)
-        direct = np.stack([slow_solution(gen, init, grid.points) for init in inits], axis=1)
+        direct = np.stack([slow_solution(params, 1, init, grid.points) for init in inits], axis=1)
         sol = solve_nz(gen, np.stack(inits), grid)
         worst[num_points] = np.abs(sol - direct).max()
     ratio = worst[5001] / worst[10001]

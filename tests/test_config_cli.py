@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cli_scenarios import SCENARIOS, run_scenarios
-from nmqsim import pipeline
+from nmqsim import propagator
 from nmqsim.cli import main
 from nmqsim.config import GRID_CAP, SWEEP_CAP, ConfigError, parse_scenario, parse_sweep
 from nmqsim.entanglement import EventKind, entanglement_of_formation, extract_events
 from nmqsim.output import format_number, scenario_hash
 from nmqsim.pipeline import simulate
-from nmqsim.presets import PRESETS
+from nmqsim.presets import PRESETS, preset_params
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ROWS = {row["name"]: row for row in SCENARIOS}
@@ -50,6 +50,12 @@ def test_builtin_parameter_table():
         assert p.delta2 == pytest.approx(delta, abs=1e-12)
         assert p.alpha1 == alpha and p.alpha2 == alpha
         assert p.gamma == gamma and p.nbar == nbar
+
+
+def test_unknown_preset_names_the_available_ones():
+    with pytest.raises(KeyError, match="unknown preset 'nope'; available: fig2, fig3, ") as info:
+        preset_params("nope")
+    assert all(name in str(info.value) for name in PRESET_TABLE)
 
 
 def test_scenario_defaults():
@@ -671,10 +677,10 @@ def test_verify_quick(capsys):
 
 def test_verify_catches_corrupted_generator(monkeypatch, capsys):
     # scale the qubit frequency entries of both coherence blocks in the
-    # generator simulate builds: the blocks keep every relation the closed
-    # forms check, so the primary path runs, and the master-equation oracle,
-    # which builds its own Liouvillian, must catch it
-    build_generator = pipeline.build_generator
+    # generator the closed forms build: the master-equation oracle, which
+    # builds its own Liouvillian, must catch it, and so must the memory-kernel
+    # check, whose Volterra solve uses verify's own generator
+    build_generator = propagator.build_generator
 
     def corrupted(params, k):
         gen = build_generator(params, k)
@@ -682,12 +688,13 @@ def test_verify_catches_corrupted_generator(monkeypatch, capsys):
         gen[7, 7] *= 1.01
         return gen
 
-    monkeypatch.setattr(pipeline, "build_generator", corrupted)
+    monkeypatch.setattr(propagator, "build_generator", corrupted)
     assert main(["verify", "--level", "full", "--fast"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(ln.startswith("FAIL oracle-equivalence[fig2]: max deviation ") for ln in lines)
     # fig3's run fails its health check: its checks fail with the message
     assert any(ln.startswith("FAIL oracle-equivalence[fig3]: |f|^2 exceeds ad by ") for ln in lines)
+    assert any(ln.startswith("FAIL nz-volterra: max deviation ") for ln in lines)
     # exit 1 must come from failed checks, which end with the tally; an
     # uncaught exception would print neither
     assert re.fullmatch(r"\d+/\d+ checks passed", lines[-1])

@@ -182,6 +182,16 @@ def test_unphysical_input_rejected():
         concurrence_general_series(rho[None])[0]
     with pytest.raises(ValueError):
         concurrence_general_series(np.eye(4, dtype=complex)[None])  # trace 4
+    skew = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    skew[0, 3] = 0.1  # without its conjugate corner
+    with pytest.raises(ValueError, match="input not Hermitian"):
+        concurrence_general_series(skew[None])
+
+
+def test_single_matrix_gives_one_value():
+    value = concurrence_general_series(BELL)
+    assert value.shape == (1,)
+    assert value[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eof_endpoints_and_frozen_value():

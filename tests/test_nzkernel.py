@@ -137,7 +137,7 @@ def test_matches_projected_direct_solution():
     params, gen, grid = kernel_setup("fig2", 2.0, 2001)
     for term in (InitialTerm.EE, InitialTerm.EG):
         init = initial_coefficients(term, params.nbar)
-        direct = slow_solution(gen, init, grid.points)
+        direct = slow_solution(params, 1, init, grid.points)
         sol = solve_nz(gen, init, grid)
         assert np.abs(sol - direct).max() < 2e-4
 
@@ -148,7 +148,7 @@ def test_step_halving_quarters_error():
     errs = []
     for num_points in (501, 1001):
         grid = TimeGrid(2.0, num_points)
-        direct = slow_solution(gen, init, grid.points)
+        direct = slow_solution(params, 1, init, grid.points)
         sol = solve_nz(gen, init, grid)
         errs.append(np.abs(sol - direct).max())
     assert 3.5 < errs[0] / errs[1] < 4.5
@@ -180,20 +180,20 @@ def test_slow_solution_input_validation():
     # the reference the solve is checked against takes the same input rules
     params, gen, grid = kernel_setup("fig2", 1.0, 101)
     good = initial_coefficients(InitialTerm.EE, params.nbar)
-    assert np.isfinite(slow_solution(gen, good, grid.points)).all()
+    assert np.isfinite(slow_solution(params, 1, good, grid.points)).all()
     for index in (0, 1, 5, 7):
         for value in (np.nan, np.inf):
             bad = good.copy()
             bad[index] = value
             with pytest.raises(ValueError, match="finite"):
-                slow_solution(gen, bad, grid.points)
+                slow_solution(params, 1, bad, grid.points)
     bad = good.copy()
     bad[2] = 0.1  # support outside the slow subspace
     with pytest.raises(ValueError, match="zero off"):
-        slow_solution(gen, bad, grid.points)
+        slow_solution(params, 1, bad, grid.points)
     for shape_bad in (good[:4], np.stack([good, good])):
         with pytest.raises(ValueError, match="9 components"):
-            slow_solution(gen, shape_bad, grid.points)
+            slow_solution(params, 1, shape_bad, grid.points)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])

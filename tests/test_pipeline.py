@@ -11,7 +11,7 @@ from high_precision import high_precision_responses
 from nmqsim import propagator
 from nmqsim.entanglement import EventKind, extract_events, precursor_from_components
 from nmqsim.model import ModelParams, build_generator
-from nmqsim.pipeline import simulate
+from nmqsim.pipeline import RunHealthError, _check_health, simulate
 from nmqsim.presets import PRESETS, default_grid, preset_params
 from nmqsim.propagator import TimeGrid, evolve_x_state, x_matrix, x_state_from_responses
 from nmqsim.verify import physicality_deviations
@@ -86,10 +86,8 @@ def test_extreme_qubit_frequency():
 
 def single_time_precursor(params):
     """The precursor from one evolve_x_state call at a single time."""
-    generators = [build_generator(params, k) for k in (1, 2)]
-
     def at(t):
-        _, b, c, _, f = evolve_x_state(generators, params.nbar, [t])
+        _, b, c, _, f = evolve_x_state(params, [t])
         return float(precursor_from_components(b, c, f)[0])
 
     return at
@@ -159,6 +157,26 @@ def test_cell_precursor_fallback_regime(omega, gamma, nbar):
         alpha1=2.0, alpha2=2.0, gamma=gamma, nbar=nbar,
     )
     assert_precursor_matches_reference(params, TimeGrid(10.0, 201), seed=5)
+
+
+def test_health_check_names_each_fault():
+    # synthetic components around the maximally mixed state, each breaking
+    # one condition of a density matrix by more than HEALTH_TOL
+    quarter = np.full(3, 0.25)
+    f = np.zeros(3, dtype=complex)
+    _check_health(quarter, quarter, quarter, quarter, f)
+    shift = np.array([0.0, 0.25 + 1e-6, 0.0])
+    faults = [
+        ((quarter, quarter - shift, quarter + shift, quarter, f), "negative population -1.000e-06"),
+        ((quarter + 1e-6, quarter, quarter, quarter, f), "trace differs from 1 by 1.000e-06"),
+        ((quarter, quarter, quarter, quarter, f + 0.25 + 1e-6),
+         "|f|^2 exceeds ad by 5.000e-07"),
+        ((quarter, quarter, quarter, quarter, f + np.nan), "non-finite X-state component"),
+    ]
+    for components, message in faults:
+        with pytest.raises(RunHealthError) as info:
+            _check_health(*components)
+        assert str(info.value) == message
 
 
 def test_primary_path_takes_no_matrix_exponential(monkeypatch):

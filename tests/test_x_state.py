@@ -28,8 +28,7 @@ FIG2_RHO_T1 = {
 def _state(name, times):
     """X-state components of a preset at the given times."""
     params = preset_params(name)
-    gens = [build_generator(params, k) for k in (1, 2)]
-    return params, evolve_x_state(gens, params.nbar, times)
+    return params, evolve_x_state(params, times)
 
 
 def test_single_atom_block_examples():
