@@ -66,6 +66,8 @@ def concurrence_general_series(rhos: np.ndarray) -> np.ndarray:
     Any leading batch shape is accepted; a single matrix gives shape (1,).
     """
     rhos = np.asarray(rhos, dtype=complex)
+    if rhos.shape[-2:] != (4, 4):
+        raise ValueError(f"input must be 4x4 density matrices, got shape {rhos.shape}")
     if rhos.ndim == 2:
         rhos = rhos[None]
     herm = np.abs(rhos - np.conj(np.swapaxes(rhos, -2, -1))).max()
@@ -177,6 +179,8 @@ class EntanglementSeries:
     )
 
     def __post_init__(self):
+        if np.ndim(self.precursor) != 1:
+            raise ValueError("precursor must be 1-d")
         if len(self.precursor) != self.grid.num_points:
             raise ValueError("precursor length does not match the grid")
         if not np.all(np.isfinite(self.precursor)):

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,10 +90,10 @@ class InitialTerm(enum.Enum):
     """The four single-qubit operators that start the memory-kernel check.
 
     Each names a qubit operator that, with the auxiliary atom thermal,
-    :func:`initial_coefficients` turns into a pair coefficient vector on
-    the slow indices.  The memory-kernel check solves the projected
-    equation from these vectors and compares with the direct solution;
-    the primary path does not use them.
+    :func:`initial_coefficients` turns into the pair's four slow
+    components.  The memory-kernel check solves the projected equation
+    from these vectors and compares with the direct solution; the primary
+    path does not use them.
     """
 
     EE = "ee"  # |1><1| on the qubit
@@ -194,7 +195,12 @@ class ModelParams:
 
 
 def _check_subsystem(k: int) -> None:
-    if k not in (1, 2):
+    try:
+        # Python and numpy integers only: bool is an int but not a pair index
+        index = None if isinstance(k, bool) else operator.index(k)
+    except TypeError:
+        index = None
+    if index not in (1, 2):
         raise ParameterError(f"subsystem index must be 1 or 2, got {k!r}")
 
 
@@ -213,23 +219,25 @@ def thermal_state(nbar: float) -> np.ndarray:
 
 
 def initial_coefficients(term: InitialTerm, nbar: float) -> np.ndarray:
-    """Coefficient vector of one qubit operator for a single pair.
+    """Slow components of one qubit operator for a single pair, shape (4,).
 
     The auxiliary atom always starts in its thermal state, so each qubit
-    operator expands exactly in the nine-operator basis:
+    operator expands exactly in the nine-operator basis, on the slow
+    indices alone.  The result holds those components in
+    :data:`P_INDICES` order (0, 1, 5, 7):
 
     * ``EE``: ``|1><1|`` = thermal reference + population imbalance,
-      giving ``c = (1, (nbar+1)/(2*nbar+1), 0, ..., 0)``.
-    * ``GG``: ``|0><0|`` gives ``c = (1, -nbar/(2*nbar+1), 0, ..., 0)``.
-    * ``EG``: ``|1><0|`` is the raising coherence, the unit vector on
-      index 5.
-    * ``GE``: ``|0><1|`` is the lowering coherence, the unit vector on
-      index 7.
+      giving ``(1, (nbar+1)/(2*nbar+1), 0, 0)``.
+    * ``GG``: ``|0><0|`` gives ``(1, -nbar/(2*nbar+1), 0, 0)``.
+    * ``EG``: ``|1><0|`` is the raising coherence on index 5,
+      ``(0, 0, 1, 0)``.
+    * ``GE``: ``|0><1|`` is the lowering coherence on index 7,
+      ``(0, 0, 0, 1)``.
     """
     if not math.isfinite(nbar) or nbar < 0:
         raise ParameterError(f"nbar must be finite and >= 0, got {nbar!r}")
     z = 2.0 * nbar + 1.0
-    c = np.zeros(9, dtype=complex)
+    c = np.zeros(len(P_INDICES), dtype=complex)
     if term is InitialTerm.EE:
         c[0] = 1.0
         c[1] = (nbar + 1.0) / z
@@ -237,9 +245,9 @@ def initial_coefficients(term: InitialTerm, nbar: float) -> np.ndarray:
         c[0] = 1.0
         c[1] = -nbar / z
     elif term is InitialTerm.EG:
-        c[5] = 1.0
+        c[2] = 1.0
     elif term is InitialTerm.GE:
-        c[7] = 1.0
+        c[3] = 1.0
     else:  # pragma: no cover - exhaustive over the enum
         raise ParameterError(f"unknown initial term {term!r}")
     return c

@@ -1,7 +1,7 @@
 """Memory-kernel form of the projected dynamics and its Volterra solver.
 
-Projecting the 9-dimensional coefficient equation onto the slow subspace
-(components 0, 1, 5, 7) turns it into an integro-differential equation
+Projecting a pair's 9-dimensional coefficient equation onto its four slow
+components 0, 1, 5 and 7 turns it into an integro-differential equation
 
     d(Pc)/dt = PLP Pc(t) + int_0^t K(t - tau) Pc(tau) dtau
 
@@ -9,7 +9,9 @@ with the exact memory kernel K(tau) = PL exp(QLQ tau) LP, where PL is the
 4x5 block L[P, Q], QLQ the 5x5 block L[Q, Q] and LP the 5x4 block L[Q, P].
 Nothing is approximated: solving this equation must reproduce the
 projection of the direct solution, and the solver below exists to
-demonstrate that.
+demonstrate that.  Both functions take the pair's parameters and build
+L = build_generator(params, k) themselves, and every vector holds only
+the four slow components, in :data:`~nmqsim.model.P_INDICES` order.
 
 The projection is fixed by the generator and the index split, so the
 kernel is built from the generator alone, at the solver's own step dt,
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import P_INDICES, Q_INDICES
+from .model import P_INDICES, Q_INDICES, ModelParams, build_generator
 from .propagator import TimeGrid, step_powers
 
 __all__ = ["MemoryKernelSamples", "build_kernel", "solve_nz"]
@@ -61,30 +63,22 @@ class MemoryKernelSamples:
     step_map: np.ndarray  # (5, 5)
     right: np.ndarray  # (5, 4)
 
-    def __post_init__(self):
-        p, q = len(_P), len(_Q)
-        shapes = (self.local.shape, self.left.shape, self.step_map.shape, self.right.shape)
-        if shapes != ((p, p), (p, q), (q, q), (q, p)):
-            raise ValueError("kernel blocks must be 4x4, 4x5, 5x5 and 5x4")
-
     def samples(self, n: int) -> np.ndarray:
-        """K at lags 0, step, ..., (n - 1) step: (n, 9, 9), support on rows/columns 0, 1, 5, 7."""
-        out = np.zeros((n, 9, 9), dtype=complex)
-        out[np.ix_(range(n), _P, _P)] = step_powers(self.left, self.step_map, n) @ self.right
-        return out
+        """K at lags 0, step, ..., (n - 1) step on the slow components: (n, 4, 4)."""
+        return step_powers(self.left, self.step_map, n) @ self.right
 
 
-def build_kernel(generator, step: float) -> MemoryKernelSamples:
-    """K(tau) = P L exp(Q L Q tau) Q L P at lag step ``step``, in factored form.
+def build_kernel(params: ModelParams, k: int, step: float) -> MemoryKernelSamples:
+    """K(tau) = P L exp(Q L Q tau) Q L P of pair k at lag step ``step``, in factored form.
 
-    The blocks are slices of the 9x9 generator on :data:`P_INDICES` and
-    :data:`Q_INDICES`.  exp(QLQ i step) is the i-th power of
-    E = expm(QLQ step), taken by scaling-and-squaring, which stays exact
-    where QLQ is defective.
+    The blocks are slices of ``build_generator(params, k)`` on
+    :data:`P_INDICES` and :data:`Q_INDICES`.  exp(QLQ i step) is the i-th
+    power of E = expm(QLQ step), taken by scaling-and-squaring, which stays
+    exact where QLQ is defective.
     """
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"kernel step must be finite and positive, got {step!r}")
-    L = np.asarray(generator, dtype=complex)
+    L = build_generator(params, k)
     return MemoryKernelSamples(
         step=step,
         local=L[np.ix_(_P, _P)],
@@ -94,8 +88,8 @@ def build_kernel(generator, step: float) -> MemoryKernelSamples:
     )
 
 
-def solve_nz(generator, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Integrate the projected equation with its memory convolution.
+def solve_nz(params: ModelParams, k: int, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Integrate pair k's projected equation with its memory convolution.
 
     Trapezoidal quadrature handles the history integral; each step is an
     Euler prediction followed by two corrector passes, which drives the
@@ -108,21 +102,20 @@ def solve_nz(generator, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
     corrector passes and the same h update, so the states after step 0
     are z_1 T^j, filled by doubling.
 
-    ``init`` is the state at t = 0, where the history integral starts: one
-    9-vector or a (k, 9) stack solved together.  Returns the state at each
-    grid time, (num_points, 9), or (num_points, k, 9) for a stack, with
-    support on indices 0, 1, 5, 7.  The memory kernel of ``generator`` is
-    built at the grid's step.
+    ``init`` is the state at t = 0, where the history integral starts, on
+    the four slow components in :data:`P_INDICES` order: one 4-vector or
+    an (m, 4) stack solved together.  Returns the state at each grid time,
+    (num_points, 4), or (num_points, m, 4) for a stack.  The memory kernel
+    of ``build_generator(params, k)`` is built at the grid's step.
     """
     init = np.asarray(init, dtype=complex)
-    if init.shape[-1:] != (9,) or init.ndim not in (1, 2):
-        raise ValueError("initial vector must have 9 components")
+    p = len(_P)
+    if init.shape[-1:] != (p,) or init.ndim not in (1, 2):
+        raise ValueError("initial vector must have 4 slow components")
     if not np.isfinite(init).all():
         raise ValueError("initial vector must be finite")
-    if init[..., _Q].any():
-        raise ValueError("initial vector has weight outside the projected subspace")
     dt = grid.step
-    kernel = build_kernel(generator, dt)
+    kernel = build_kernel(params, k, dt)
 
     # rows are states, so every map acts from the right through its transpose
     PLt = dt * kernel.left.T
@@ -144,17 +137,15 @@ def solve_nz(generator, init: np.ndarray, grid: TimeGrid) -> np.ndarray:
             ynew = fixed + ynew @ half_Mt
         return ynew, h
 
-    p = len(_P)
-    y0 = init[..., _P]
     # step 0: the trapezoid's half weight on y_0, and no history yet
-    z1 = np.concatenate(step(y0, 0.5 * y0 @ LPt, np.zeros_like(y0)), axis=-1)
+    z1 = np.concatenate(step(init, 0.5 * init @ LPt, np.zeros_like(init)), axis=-1)
     # every later step is one linear map of z_i = [y_i, h_i]: push the
     # identity through it once to get T, then z_i = z_1 T^(i - 1)
     eye = np.eye(p + len(_Q), dtype=complex)
     y, h = eye[:, :p], eye[:, p:]
     T = np.concatenate(step(y, h + y @ LPt, h @ PLt), axis=1)
 
-    out = np.zeros((grid.num_points,) + init.shape, dtype=complex)
+    out = np.empty((grid.num_points,) + init.shape, dtype=complex)
     out[0] = init
-    out[1:, ..., _P] = step_powers(z1, T, grid.num_points - 1)[..., :p]
+    out[1:] = step_powers(z1, T, grid.num_points - 1)[..., :p]
     return out

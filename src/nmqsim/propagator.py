@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Q_INDICES, ModelParams, build_generator
+from .model import ModelParams, build_generator
 
 __all__ = [
     "TimeGrid",
@@ -89,7 +89,7 @@ class TimeGrid:
     num_points: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.t_end) or self.t_end <= 0:
+        if isinstance(self.t_end, (bool, np.bool_)) or not np.isfinite(self.t_end) or self.t_end <= 0:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         try:
             # Python and numpy integers only: bool is an int but not a count
@@ -296,22 +296,18 @@ def evolve_x_state(params: ModelParams, times):
 
 
 def slow_solution(params: ModelParams, k: int, init, times) -> np.ndarray:
-    """``exp(L t) c(0)`` of pair k on the slow indices 0, 1, 5, 7, shape (len(times), 9).
+    """``exp(L t) c(0)`` of pair k on the slow components, shape (len(times), 4).
 
-    c(0) must be finite and vanish on the other indices.  Index 0 is
-    stationary, index 1 scales by s(t), index 5 by u(t) and index 7 by
-    conj(u(t)), because the {7, 8} block is the complex conjugate of the
-    {5, 6} block.
+    ``init`` is c(0) on the four slow components, in
+    :data:`~nmqsim.model.P_INDICES` order (0, 1, 5, 7), and must be finite.
+    Index 0 is stationary, index 1 scales by s(t), index 5 by u(t) and
+    index 7 by conj(u(t)), because the {7, 8} block is the complex conjugate
+    of the {5, 6} block: the result is init * [1, s, u, conj(u)].
     """
     init = np.asarray(init, dtype=complex)
-    if init.shape != (9,) or np.any(init[list(Q_INDICES)]):
-        raise ValueError("initial vector must have 9 components, zero off indices 0, 1, 5, 7")
+    if init.shape != (4,):
+        raise ValueError("initial vector must have 4 slow components")
     if not np.isfinite(init).all():
         raise ValueError("initial vector must be finite")
     s, u = responses(params, k, times)
-    out = np.zeros((s.size, 9), dtype=complex)
-    out[:, 0] = init[0]
-    out[:, 1] = s * init[1]
-    out[:, 5] = u * init[5]
-    out[:, 7] = np.conj(u) * init[7]
-    return out
+    return init * np.stack([np.ones_like(s), s, u, np.conj(u)], axis=-1)

@@ -19,8 +19,9 @@ fault-injection switch: a test in tests/test_config_cli.py replaces
 ``nmqsim.propagator.build_generator``, the name the closed forms look up,
 with one that scales the qubit frequency entries of both coherence blocks.
 It shows that a broken primary path trips the oracle comparison, and the
-memory-kernel check too: its Volterra solve uses the generator built here,
-and its reference is the closed forms that ``simulate`` evaluates.
+memory-kernel check too: its Volterra solve builds its own generator
+inside :mod:`nmqsim.nzkernel`, through that module's own import, and its
+reference is the closed forms that ``simulate`` evaluates.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from functools import cache, partial
 import numpy as np
 
 from .entanglement import concurrence_general_series
-from .model import InitialTerm, ModelParams, build_generator, initial_coefficients
+from .model import InitialTerm, ModelParams, initial_coefficients
 from .nzkernel import solve_nz
 from .oracle import (
     apply_product_map,
@@ -143,13 +144,12 @@ def _choi_positivity(nbar: float):
 
 def _nz_volterra(t_end: float):
     params = PRESETS["fig4"].params()
-    gen = build_generator(params, 1)
     inits = [initial_coefficients(term, params.nbar) for term in (InitialTerm.EE, InitialTerm.EG)]
     devs = {}
     for dt in (2e-3, 1e-3):
         grid = TimeGrid(t_end, int(round(t_end / dt)) + 1)
         # grid by keyword: perfbench/tracer.py reads the step count from it
-        nz = solve_nz(gen, np.stack(inits), grid=grid)
+        nz = solve_nz(params, 1, np.stack(inits), grid=grid)
         direct = np.stack([slow_solution(params, 1, init, grid.points) for init in inits], axis=1)
         devs[dt] = float(np.abs(nz - direct).max())
     ratio = devs[2e-3] / devs[1e-3]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nmqsim.entanglement import EventKind, extract_events, markovian_rate
-from nmqsim.model import InitialTerm, ModelParams, build_generator, initial_coefficients
+from nmqsim.model import InitialTerm, ModelParams, initial_coefficients
 from nmqsim.nzkernel import solve_nz
 from nmqsim.pipeline import simulate
 from nmqsim.presets import PRESETS, default_grid, preset_params
@@ -97,13 +97,12 @@ def test_criterion_4_oracle_equivalence(verify_full):
 def test_criterion_5_memory_kernel_equivalence():
     t0 = time.monotonic()
     params = preset_params("fig4")
-    gen = build_generator(params, 1)
     inits = [initial_coefficients(term, params.nbar) for term in InitialTerm]
     worst = {}
     for num_points in (10001, 5001):  # dt = 1e-3 and 2e-3
         grid = TimeGrid(10.0, num_points)
         direct = np.stack([slow_solution(params, 1, init, grid.points) for init in inits], axis=1)
-        sol = solve_nz(gen, np.stack(inits), grid)
+        sol = solve_nz(params, 1, np.stack(inits), grid)
         worst[num_points] = np.abs(sol - direct).max()
     ratio = worst[5001] / worst[10001]
     elapsed = time.monotonic() - t0

@@ -679,7 +679,8 @@ def test_verify_catches_corrupted_generator(monkeypatch, capsys):
     # scale the qubit frequency entries of both coherence blocks in the
     # generator the closed forms build: the master-equation oracle, which
     # builds its own Liouvillian, must catch it, and so must the memory-kernel
-    # check, whose Volterra solve uses verify's own generator
+    # check, whose Volterra solve builds its generator through nzkernel's own
+    # import while its reference is the closed forms
     build_generator = propagator.build_generator
 
     def corrupted(params, k):

@@ -186,6 +186,8 @@ def test_unphysical_input_rejected():
     skew[0, 3] = 0.1  # without its conjugate corner
     with pytest.raises(ValueError, match="input not Hermitian"):
         concurrence_general_series(skew[None])
+    with pytest.raises(ValueError, match=r"4x4 density matrices, got shape \(3, 3\)"):
+        concurrence_general_series(np.eye(3) / 3)
 
 
 def test_single_matrix_gives_one_value():
@@ -248,6 +250,9 @@ def test_series_derives_concurrence_and_eof():
     assert np.array_equal(series.eof, entanglement_of_formation(np.clip(p, 0.0, 1.0)))
     with pytest.raises(ValueError, match="precursor length does not match the grid"):
         EntanglementSeries(grid=TimeGrid(1.0, len(p) + 1), precursor=p)
+    # a 2-d precursor whose first axis matches the grid is not a series
+    with pytest.raises(ValueError, match="precursor must be 1-d"):
+        EntanglementSeries(grid=TimeGrid(1.0, len(p)), precursor=np.stack([p, p], axis=1))
     with pytest.raises(TypeError):
         EntanglementSeries(grid=TimeGrid(1.0, len(p)), precursor=p, concurrence=p)
 

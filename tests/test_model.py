@@ -14,6 +14,9 @@ from nmqsim.model import (
     initial_coefficients,
     thermal_state,
 )
+from nmqsim.entanglement import markovian_rate
+from nmqsim.nzkernel import solve_nz
+from nmqsim.propagator import TimeGrid, responses
 
 
 def make_params(alpha=2.0, delta=2.0, gamma=0.5, nbar=0.0, omega1=10.0):
@@ -107,6 +110,25 @@ def test_projectors_idempotent_and_complementary():
     assert P_INDICES == (0, 1, 5, 7)
 
 
+@pytest.mark.parametrize("k", [0, 3, True, 1.0])
+def test_pair_index_must_be_one_or_two(k):
+    # True and 1.0 compare equal to 1 but are not pair indices
+    params = make_params()
+    init = initial_coefficients(InitialTerm.EE, params.nbar)
+    for call in (lambda: responses(params, k, [0.0]),
+                 lambda: build_generator(params, k),
+                 lambda: markovian_rate(params, k),
+                 lambda: solve_nz(params, k, init, TimeGrid(1.0, 11))):
+        with pytest.raises(ParameterError, match="subsystem index must be 1 or 2"):
+            call()
+
+
+def test_numpy_pair_index_accepted():
+    params = make_params()
+    assert np.array_equal(build_generator(params, np.int64(2)), build_generator(params, 2))
+    assert markovian_rate(params, np.int32(1)) == markovian_rate(params, 1)
+
+
 def test_thermal_state():
     assert np.array_equal(thermal_state(0.0), np.diag([0.0, 1.0]))
     th = thermal_state(0.2)
@@ -115,15 +137,16 @@ def test_thermal_state():
 
 
 def test_initial_coefficients():
+    # the four slow components, in P_INDICES order (0, 1, 5, 7)
     ee = initial_coefficients(InitialTerm.EE, 0.0)
-    assert np.array_equal(ee[:2], [1.0, 1.0]) and np.all(ee[2:] == 0)
+    assert ee.shape == (4,)
+    assert np.array_equal(ee, [1.0, 1.0, 0.0, 0.0])
     gg = initial_coefficients(InitialTerm.GG, 0.2)
     assert gg[0] == 1.0
     assert gg[1] == pytest.approx(-0.2 / 1.4, abs=1e-15)
-    eg = initial_coefficients(InitialTerm.EG, 0.0)
-    ge = initial_coefficients(InitialTerm.GE, 0.0)
-    assert eg[5] == 1.0 and np.all(np.delete(eg, 5) == 0)
-    assert ge[7] == 1.0 and np.all(np.delete(ge, 7) == 0)
+    assert np.all(gg[2:] == 0)
+    assert np.array_equal(initial_coefficients(InitialTerm.EG, 0.0), [0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(initial_coefficients(InitialTerm.GE, 0.0), [0.0, 0.0, 0.0, 1.0])
 
 
 def test_from_detunings_defaults():

@@ -9,7 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from high_precision import high_precision_responses
-from nmqsim.model import InitialTerm, ModelParams, build_generator, initial_coefficients
+from nmqsim.model import P_INDICES, InitialTerm, ModelParams, build_generator, initial_coefficients
+from nmqsim.nzkernel import build_kernel, solve_nz
 from nmqsim.oracle import apply_product_map, bell_state, subsystem_transfer_matrix
 from nmqsim.presets import preset_params
 from nmqsim.propagator import (
@@ -54,7 +55,7 @@ def test_grid_properties():
 def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(10.0, 1)
-    for t_end in (0.0, -1.0, np.inf, np.nan):
+    for t_end in (0.0, -1.0, np.inf, np.nan, True, np.True_):
         with pytest.raises(ValueError, match="t_end"):
             TimeGrid(t_end, 10)
     # a float or bool count would build a grid whose points linspace rejects
@@ -298,16 +299,27 @@ def test_bad_inputs():
 
 
 def test_matrix_signatures_raise_type_error():
-    # the closed forms take the pair's parameters; a call written for the
-    # generator-matrix signatures misses or adds an argument
+    # the closed forms and the memory kernel take the pair's parameters; a
+    # call written for the generator-matrix signatures misses or adds an
+    # argument
     params = preset_params("fig2")
     gen = build_generator(params, 1)
     init = initial_coefficients(InitialTerm.EE, params.nbar)
+    init9 = np.zeros(9, dtype=complex)
+    init9[list(P_INDICES)] = init
     gens = [gen, build_generator(params, 2)]
+    grid = TimeGrid(1.0, 11)
     for call in (lambda: responses(gen, [1.0]),
                  lambda: slow_solution(gen, init, [1.0]),
-                 lambda: evolve_x_state(gens, params.nbar, [1.0])):
+                 lambda: evolve_x_state(gens, params.nbar, [1.0]),
+                 lambda: solve_nz(gen, init9, grid),
+                 lambda: build_kernel(gen, 0.1)):
         with pytest.raises(TypeError):
+            call()
+    # the padded 9-vector of the old signatures is not a slow state
+    for call in (lambda: solve_nz(params, 1, init9, grid),
+                 lambda: slow_solution(params, 1, init9, [1.0])):
+        with pytest.raises(ValueError, match="4 slow components"):
             call()
 
 
