@@ -4,6 +4,10 @@ Two independent routes to the concurrence are provided.  The analytic
 X-state formula C = 2 max(0, |f| - sqrt(b c)) is the default path; the
 general eigenvalue construction (spin-flip, square roots of eigenvalues of
 rho rho~) exists to cross-check it and is an order of magnitude costlier.
+It comes with the state test: :func:`state_certificate` reports how far a
+stack of 4x4 matrices is from being states (trace, Hermiticity, smallest
+eigenvalue) from the same one eigendecomposition per matrix, and
+:func:`concurrence_general_series` refuses what lies beyond INPUT_TOL.
 
 The unclamped quantity 2(|f| - sqrt(b c)), called the precursor here, is
 what the dynamics actually drives; the concurrence is its positive part.
@@ -27,6 +31,7 @@ __all__ = [
     "EntanglementEvent",
     "EntanglementSeries",
     "concurrence_general_series",
+    "state_certificate",
     "precursor_from_components",
     "entanglement_of_formation",
     "markovian_rate",
@@ -54,37 +59,57 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
     return _FLIP_SIGN * np.conj(rho)[..., ::-1, ::-1]
 
 
-def concurrence_general_series(rhos: np.ndarray) -> np.ndarray:
-    """Eigenvalue-route concurrence for a stack of 4x4 density matrices.
+def state_certificate(rhos: np.ndarray):
+    """How far a stack of 4x4 matrices is from being states, and its concurrence.
 
-    Computes the lambda_i as singular values of sqrt(rho~) sqrt(rho), which
-    equal the square roots of the eigenvalues of rho rho~ but do not suffer
-    the square-root-of-epsilon noise amplification of diagonalizing the
-    non-Hermitian product directly.  sigma_y (x) sigma_y is real, symmetric
-    and its own inverse, so sqrt(rho~) is the spin flip of sqrt(rho) and one
-    eigendecomposition per state gives both roots and the positivity check.
-    Any leading batch shape is accepted; a single matrix gives shape (1,).
+    Returns (trace deviation, Hermiticity deviation, smallest eigenvalue,
+    concurrence): the largest |tr rho - 1| and the largest entry of
+    |rho - rho^dagger| over the stack, the smallest eigenvalue of any
+    Hermitian part (rho + rho^dagger)/2, and the eigenvalue-route
+    concurrence of each matrix, an array of the leading batch shape (a
+    single matrix gives shape (1,)).  It refuses only a stack that is not
+    4x4, is empty or is not finite; how far off a state it is, it reports.
+
+    The concurrence takes the lambda_i as singular values of
+    sqrt(rho~) sqrt(rho), which equal the square roots of the eigenvalues
+    of rho rho~ but do not suffer the square-root-of-epsilon noise
+    amplification of diagonalizing the non-Hermitian product directly.
+    sigma_y (x) sigma_y is real, symmetric and its own inverse, so
+    sqrt(rho~) is the spin flip of sqrt(rho), and the one eigendecomposition
+    per matrix of the Hermitian part gives the roots and the smallest
+    eigenvalue.  Negative eigenvalues are taken as 0 in the roots.
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.shape[-2:] != (4, 4):
         raise ValueError(f"input must be 4x4 density matrices, got shape {rhos.shape}")
-    if rhos.ndim == 2:
-        rhos = rhos[None]
-    herm = np.abs(rhos - np.conj(np.swapaxes(rhos, -2, -1))).max()
-    if herm > INPUT_TOL:
-        raise ValueError(f"input not Hermitian: max deviation {herm:.3e}")
-    tr = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0).max()
-    if tr > INPUT_TOL:
-        raise ValueError(f"input trace differs from 1 by {tr:.3e}")
-    sym = 0.5 * (rhos + np.conj(np.swapaxes(rhos, -2, -1)))
-    w, v = np.linalg.eigh(sym)
-    if w.min() < -INPUT_TOL:
-        raise ValueError(f"input not positive semidefinite: min eigenvalue {w.min():.3e}")
-    # eigenvalues may be tiny-negative from floating error; clamp before sqrt
+    if rhos.size == 0 or not np.isfinite(rhos).all():
+        raise ValueError("input holds no matrices" if rhos.size == 0 else "input is not finite")
+    adjoint = np.conj(np.swapaxes(rhos, -2, -1))
+    herm_dev = float(np.abs(rhos - adjoint).max())
+    trace_dev = float(np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0).max())
+    w, v = np.linalg.eigh(0.5 * (rhos + adjoint))
     root = np.einsum("...ij,...j,...kj->...ik", v, np.sqrt(np.clip(w, 0.0, None)), np.conj(v))
     lam = np.linalg.svd(spin_flip(root) @ root, compute_uv=False)  # descending
-    c = lam[..., 0] - lam[..., 1:].sum(axis=-1)
-    return np.clip(c, 0.0, 1.0)
+    c = np.clip(lam[..., 0] - lam[..., 1:].sum(axis=-1), 0.0, 1.0)
+    return trace_dev, herm_dev, float(w.min()), np.atleast_1d(c)
+
+
+def concurrence_general_series(rhos: np.ndarray) -> np.ndarray:
+    """Eigenvalue-route concurrence of a stack of 4x4 density matrices.
+
+    This is the concurrence of :func:`state_certificate` for a stack it
+    takes as states: a Hermiticity or trace deviation above INPUT_TOL, or an
+    eigenvalue below -INPUT_TOL, raises ValueError.  Any leading batch
+    shape is accepted; a single matrix gives shape (1,).
+    """
+    trace_dev, herm_dev, min_eig, c = state_certificate(rhos)
+    if herm_dev > INPUT_TOL:
+        raise ValueError(f"input not Hermitian: max deviation {herm_dev:.3e}")
+    if trace_dev > INPUT_TOL:
+        raise ValueError(f"input trace differs from 1 by {trace_dev:.3e}")
+    if min_eig < -INPUT_TOL:
+        raise ValueError(f"input not positive semidefinite: min eigenvalue {min_eig:.3e}")
+    return c
 
 
 def precursor_from_components(b, c, f) -> np.ndarray:

@@ -5,7 +5,10 @@ state and concurrence come from :func:`~nmqsim.pipeline.simulate`, the
 function that writes ``trajectory.csv``, with its run-health check.
 
 quick: physicality, and the eigenvalue-route concurrence against the
-printed concurrence, on every preset.
+printed concurrence, on every preset.  Both checks of a preset read one
+:func:`~nmqsim.entanglement.state_certificate` of its states, which takes
+one eigendecomposition per state; this module decomposes no primary state
+itself.
 
 full: adds the three independent cross-checks (the brute-force 16-dim
 master-equation oracle, Choi-matrix complete positivity, and the
@@ -29,7 +32,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .entanglement import concurrence_general_series
+from .entanglement import state_certificate
 from .model import InitialTerm, ModelParams, initial_coefficients
 from .nzkernel import solve_nz
 from .oracle import (
@@ -75,32 +78,29 @@ def _checked(name: str, measure, *args) -> CheckResult:
 def _primary(params: ModelParams, grid: TimeGrid):
     """X-state matrices of ``simulate``'s run, and the concurrence it prints."""
     result = simulate(params, grid)
-    rho = x_matrix(result.a, result.b, result.c, result.d, result.f)
-    return rho, result.series.concurrence
+    return x_matrix(result.a, result.b, result.c, result.d, result.f), result.series.concurrence
 
 
-def physicality_deviations(rhos: np.ndarray):
-    """Worst-case physicality deviations over a (n, 4, 4) series.
+def _certificate(params: ModelParams, grid: TimeGrid):
+    """State certificate of ``simulate``'s run against the concurrence it prints.
 
-    Returns (trace deviation, Hermiticity deviation, smallest eigenvalue).
+    Returns the trace deviation, Hermiticity deviation and smallest
+    eigenvalue of its states, and the largest distance of the printed
+    concurrence from the eigenvalue route.
     """
-    rhos = np.asarray(rhos)
-    trace_dev = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0).max()
-    herm_dev = np.abs(rhos - np.conj(np.swapaxes(rhos, -2, -1))).max()
-    herm = 0.5 * (rhos + np.conj(np.swapaxes(rhos, -2, -1)))
-    min_eig = np.linalg.eigvalsh(herm).min()
-    return float(trace_dev), float(herm_dev), float(min_eig)
+    rho, printed = _primary(params, grid)
+    trace_dev, herm_dev, min_eig, general = state_certificate(rho)
+    return trace_dev, herm_dev, min_eig, float(np.abs(printed - general).max())
 
 
-def _physicality(primary):
-    trace_dev, herm_dev, min_eig = physicality_deviations(primary()[0])
+def _physicality(certificate):
+    trace_dev, herm_dev, min_eig, _ = certificate()
     ok = trace_dev < 1e-9 and herm_dev < 1e-12 and min_eig > -1e-9
     return ok, f"trace dev {trace_dev:.2e}, herm dev {herm_dev:.2e}, min eig {min_eig:.2e}"
 
 
-def _concurrence_routes(primary):
-    rho, printed = primary()
-    dev = float(np.abs(printed - concurrence_general_series(rho)).max())
+def _concurrence_routes(certificate):
+    dev = certificate()[3]
     return dev <= 1e-10, f"max deviation {dev:.2e}"
 
 
@@ -109,10 +109,11 @@ def run_quick(grid: TimeGrid | None = None):
     grid = grid or default_grid()
     results = []
     for name, preset in PRESETS.items():
-        # one run shared by both checks; a run that raises raises for each
-        primary = cache(partial(_primary, preset.params(), grid))
-        results.append(_checked(f"physicality[{name}]", _physicality, primary))
-        results.append(_checked(f"concurrence-routes[{name}]", _concurrence_routes, primary))
+        # one run and certificate shared by both checks; a run that raises
+        # raises for each
+        certificate = cache(partial(_certificate, preset.params(), grid))
+        results.append(_checked(f"physicality[{name}]", _physicality, certificate))
+        results.append(_checked(f"concurrence-routes[{name}]", _concurrence_routes, certificate))
     return results
 
 

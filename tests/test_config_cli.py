@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cli_scenarios import SCENARIOS, run_scenarios
-from nmqsim import propagator
+from nmqsim import propagator, verify
 from nmqsim.cli import main
 from nmqsim.config import GRID_CAP, SWEEP_CAP, ConfigError, parse_scenario, parse_sweep
 from nmqsim.entanglement import EventKind, entanglement_of_formation, extract_events
 from nmqsim.output import format_number, scenario_hash
-from nmqsim.pipeline import simulate
-from nmqsim.presets import PRESETS, preset_params
+from nmqsim.pipeline import RunHealthError, simulate
+from nmqsim.presets import PRESETS, default_grid, preset_params
+from nmqsim.propagator import TimeGrid
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ROWS = {row["name"]: row for row in SCENARIOS}
@@ -699,6 +700,62 @@ def test_verify_catches_corrupted_generator(monkeypatch, capsys):
     # exit 1 must come from failed checks, which end with the tally; an
     # uncaught exception would print neither
     assert re.fullmatch(r"\d+/\d+ checks passed", lines[-1])
+
+
+def test_verify_catches_an_unphysical_primary_state(monkeypatch):
+    # shift fig3's coherence f by 0.1 in the states verify reads, not in the
+    # concurrence simulate prints: its first state gets the eigenvalue
+    # 0.5 - 0.6 = -0.1, and the eigenvalue route moves off the printed value
+    grid = TimeGrid(2.0, 201)
+    target = simulate(preset_params("fig3"), grid).f
+    x_matrix = verify.x_matrix
+
+    def corrupted(a, b, c, d, f):
+        return x_matrix(a, b, c, d, f + 0.1 if np.array_equal(f, target) else f)
+
+    monkeypatch.setattr(verify, "x_matrix", corrupted)
+    lines = {r.name: r.line() for r in verify.run_quick(grid)}
+    assert re.fullmatch(
+        r"FAIL physicality\[fig3\]: trace dev \S+, herm dev 0\.00e\+00, min eig -1\.00e-01",
+        lines.pop("physicality[fig3]"),
+    )
+    assert lines.pop("concurrence-routes[fig3]") == (
+        "FAIL concurrence-routes[fig3]: max deviation 2.00e-01"
+    )
+    assert len(lines) == 16 and all(line.startswith("PASS ") for line in lines.values())
+
+
+def test_verify_fails_both_state_checks_of_a_failed_run(monkeypatch):
+    def failing(params, grid):
+        if params == preset_params("fig6"):
+            raise RunHealthError("negative population -1.000e-03")
+        return simulate(params, grid)
+
+    monkeypatch.setattr(verify, "simulate", failing)
+    lines = {r.name: r.line() for r in verify.run_quick(TimeGrid(2.0, 201))}
+    for check in ("physicality", "concurrence-routes"):
+        line = lines.pop(f"{check}[fig6]")
+        assert line == f"FAIL {check}[fig6]: negative population -1.000e-03"
+    assert len(lines) == 16 and all(line.startswith("PASS ") for line in lines.values())
+
+
+def test_run_quick_decomposes_each_preset_state_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return original(a, *args, **kwargs)
+
+        return counted
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    assert all(r.passed for r in verify.run_quick())
+    # physicality reads the decomposition the concurrence route takes
+    assert calls == [("eigh", (default_grid().num_points, 4, 4))] * len(PRESETS)
 
 
 def test_list_presets(capsys):

@@ -17,6 +17,7 @@ from nmqsim.entanglement import (
     markovian_rate,
     precursor_from_components,
     spin_flip,
+    state_certificate,
 )
 from nmqsim.model import ModelParams
 from nmqsim.pipeline import simulate
@@ -188,12 +189,33 @@ def test_unphysical_input_rejected():
         concurrence_general_series(skew[None])
     with pytest.raises(ValueError, match=r"4x4 density matrices, got shape \(3, 3\)"):
         concurrence_general_series(np.eye(3) / 3)
+    # refused before any arithmetic, by the certificate too
+    for check in (concurrence_general_series, state_certificate):
+        with pytest.raises(ValueError, match="input holds no matrices"):
+            check(np.zeros((0, 4, 4), dtype=complex))
+        for bad in (np.nan, np.inf):
+            rho = BELL.copy()
+            rho[3, 3] = bad
+            with pytest.raises(ValueError, match="input is not finite"):
+                check(rho[None])
 
 
 def test_single_matrix_gives_one_value():
     value = concurrence_general_series(BELL)
     assert value.shape == (1,)
     assert value[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_certificate_reports_what_the_series_refuses():
+    assert state_certificate(BELL)[:3] == (0.0, 0.0, pytest.approx(0.0, abs=1e-15))
+    assert state_certificate(BELL)[3].shape == (1,)
+    trace_dev, herm_dev, min_eig, c = state_certificate(np.diag([0.7, 0.4, 0.0, -0.1]))
+    assert (trace_dev, herm_dev, min_eig) == (pytest.approx(0.0, abs=1e-15), 0.0, -0.1)
+    assert c.shape == (1,)
+    skew = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    skew[0, 3] = 0.1
+    assert state_certificate(skew)[1] == 0.1
+    assert state_certificate(np.eye(4))[0] == 3.0
 
 
 def test_eof_endpoints_and_frozen_value():

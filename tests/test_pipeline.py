@@ -9,12 +9,16 @@ from scipy.optimize import brentq
 
 from high_precision import high_precision_responses
 from nmqsim import propagator
-from nmqsim.entanglement import EventKind, extract_events, precursor_from_components
+from nmqsim.entanglement import (
+    EventKind,
+    extract_events,
+    precursor_from_components,
+    state_certificate,
+)
 from nmqsim.model import ModelParams, build_generator
 from nmqsim.pipeline import RunHealthError, _check_health, simulate
 from nmqsim.presets import PRESETS, default_grid, preset_params
 from nmqsim.propagator import TimeGrid, evolve_x_state, x_matrix, x_state_from_responses
-from nmqsim.verify import physicality_deviations
 
 
 def test_simulate_shapes_and_initial_state():
@@ -80,7 +84,7 @@ def test_extreme_qubit_frequency():
         return simulate(params, default_grid())
 
     fast, slow = run(1e9), run(10.0)
-    assert physicality_deviations(x_matrix(fast.a, fast.b, fast.c, fast.d, fast.f))[1] == 0.0
+    assert state_certificate(x_matrix(fast.a, fast.b, fast.c, fast.d, fast.f))[1] == 0.0
     assert np.abs(fast.series.concurrence - slow.series.concurrence).max() < 1e-12
 
 

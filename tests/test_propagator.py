@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from high_precision import high_precision_responses
+from nmqsim.entanglement import state_certificate
 from nmqsim.model import P_INDICES, InitialTerm, ModelParams, build_generator, initial_coefficients
 from nmqsim.nzkernel import build_kernel, solve_nz
 from nmqsim.oracle import apply_product_map, bell_state, subsystem_transfer_matrix
@@ -22,7 +23,6 @@ from nmqsim.propagator import (
     x_matrix,
     x_state_from_responses,
 )
-from nmqsim.verify import physicality_deviations
 
 # reference coefficients for the resonant strongly-coupled scenario,
 # excited-excited term at t = 1, from a 250-digit matrix exponential;
@@ -192,7 +192,7 @@ def test_exceptional_point_sweep():
                 assert abs(u[0] - ref_u) < 1e-12
             grid = TimeGrid(10.0, 201)
             rho = x_matrix(*evolve_x_state(params, grid.points))
-            trace_dev, herm_dev, min_eig = physicality_deviations(rho)
+            trace_dev, herm_dev, min_eig, _ = state_certificate(rho)
             assert trace_dev < 1e-12
             assert herm_dev < 1e-12
             assert min_eig > -1e-12

@@ -3,10 +3,10 @@
 import numpy as np
 import scipy.linalg
 
+from nmqsim.entanglement import state_certificate
 from nmqsim.model import build_generator
 from nmqsim.presets import preset_params
 from nmqsim.propagator import TimeGrid, evolve_x_state, x_matrix, x_state_from_responses
-from nmqsim.verify import physicality_deviations
 
 BELL = 0.5 * np.array([
     [1, 0, 0, 1],
@@ -125,7 +125,7 @@ def test_x_components_series():
 
 def test_physicality_deviations():
     _, x = _state("fig6", TimeGrid(10.0, 501).points)
-    trace_dev, herm_dev, min_eig = physicality_deviations(x_matrix(*x))
+    trace_dev, herm_dev, min_eig, _ = state_certificate(x_matrix(*x))
     assert trace_dev < 1e-9
     assert herm_dev < 1e-12
     assert min_eig > -1e-9
