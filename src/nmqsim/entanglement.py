@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import xlogy
 
 from .model import ModelParams
 from .propagator import TimeGrid
@@ -134,7 +133,10 @@ def entanglement_of_formation(concurrence) -> np.ndarray | float:
         raise ValueError("concurrence outside [0, 1]")
     c = np.clip(c, 0.0, 1.0)
     x = 0.5 * (1.0 + np.sqrt(1.0 - c * c))
-    ent = -(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)) / np.log(2.0)
+    # x >= 1/2, so only 1 - x can be 0; log(1) stands in for log(0) there,
+    # and + 0.0 turns the -0.0 of C = 0 into 0.0
+    y = 1.0 - x
+    ent = -(x * np.log(x) + y * np.log(np.where(y > 0.0, y, 1.0))) / np.log(2.0) + 0.0
     if np.isscalar(concurrence) or np.ndim(concurrence) == 0:
         return float(ent)
     return ent

@@ -32,12 +32,16 @@ z_i = [y_i, h_i]: z_{i+1} = z_i T.  The solver builds the 9x9 step map T
 once, by pushing the identity through one step, and takes every later
 state as z_i = z_1 T^(i-1) with :func:`nmqsim.propagator.step_powers`,
 the doubling that also fills the kernel's lags.
+
+E is scipy's ``scipy.linalg.expm``, the only scipy call here.  It is
+imported inside :func:`build_kernel`, so importing this module, or the
+package, loads no scipy module; the first kernel built loads
+``scipy.linalg``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import P_INDICES, Q_INDICES, ModelParams, build_generator
 from .propagator import TimeGrid, step_powers
@@ -76,6 +80,8 @@ def build_kernel(params: ModelParams, k: int, step: float) -> MemoryKernelSample
     power of E = expm(QLQ step), taken by scaling-and-squaring, which stays
     exact where QLQ is defective.
     """
+    import scipy.linalg
+
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"kernel step must be finite and positive, got {step!r}")
     L = build_generator(params, k)

@@ -19,10 +19,14 @@ Also provides the Choi-matrix test of complete positivity for the reduced
 single-qubit maps.  For that purpose the dynamics factorizes into two
 independent qubit + auxiliary-atom pairs, each living in a 4-dimensional
 Hilbert space.
+
+The exponential is scipy's ``scipy.linalg.expm``, which the primary path
+never calls.  It is imported inside the two functions that take it,
+:func:`evolve_full` and :func:`subsystem_transfer_matrix`, so importing
+this module, or the package, loads numpy and no scipy module.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .model import ModelParams, thermal_state
 from .propagator import TimeGrid, step_powers
@@ -122,6 +126,8 @@ def evolve_full(params: ModelParams, rho0: np.ndarray, grid: TimeGrid) -> np.nda
     rho at grid time i is Phi(dt)^i rho0.  Every other component stays
     exactly 0.
     """
+    import scipy.linalg
+
     liouv = build_full_liouvillian(params)
     z0 = np.asarray(rho0, dtype=complex).reshape(256)
     reach = _reachable(liouv, z0 != 0)
@@ -167,6 +173,8 @@ def subsystem_transfer_matrix(params: ModelParams, k: int, t: float | np.ndarray
     at every time in one stacked call.  With the partner atom thermal,
     T[(q q'), (p p')] = sum_{a,b,b'} prop[(q a, q' a), (p b, p' b')] th[b, b'].
     """
+    import scipy.linalg
+
     times = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0.0)):
         raise ValueError(f"time must be finite and >= 0, got {t!r}")

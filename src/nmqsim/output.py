@@ -5,6 +5,7 @@ Data files are byte-reproducible: fixed 12-significant-digit formatting,
 The run record (run.json) carries the non-deterministic metadata instead.
 """
 
+import functools
 import hashlib
 import json
 import sys
@@ -12,7 +13,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .pipeline import SimulationResult
 
@@ -130,6 +130,15 @@ def scenario_hash(scenario: dict) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
+@functools.cache
+def _scipy_version() -> str:
+    # read from scipy's installed metadata, so a run never imports scipy;
+    # once per process, since the lookup scans the installed distributions
+    from importlib.metadata import version
+
+    return version("scipy")
+
+
 def write_run_record(path, scenario: dict, output_files) -> None:
     from . import __version__
 
@@ -143,7 +152,7 @@ def write_run_record(path, scenario: dict, output_files) -> None:
         "versions": {
             "python": "%d.%d.%d" % sys.version_info[:3],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
     }
     with open(path, "w", encoding="ascii", newline="\n") as fh:

@@ -540,6 +540,25 @@ def test_run_record_lists_library_versions(tmp_path):
     }
 
 
+def test_run_record_reads_the_scipy_version_once(tmp_path, monkeypatch):
+    import importlib.metadata
+
+    from nmqsim import output
+
+    calls = []
+    real = importlib.metadata.version
+
+    def counting(name):
+        calls.append(name)
+        return real(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", counting)
+    output._scipy_version.cache_clear()
+    for i in range(2):
+        output.write_run_record(tmp_path / f"run{i}.json", {"preset": "fig2"}, [])
+    assert calls == ["scipy"]
+
+
 def test_verify_has_no_nz_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--nz"])
@@ -835,22 +854,55 @@ def test_scenario_table(tmp_path):
 
 
 def loaded_scipy_modules(code, *args):
-    """The unused scipy subpackages in sys.modules after running code in a fresh interpreter."""
-    unused = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
-    probe = f"import sys\n{code}\nprint([name for name in {unused!r} if name in sys.modules])"
+    """The scipy modules and importlib.metadata in sys.modules after running code in a fresh interpreter."""
+    probe = (
+        f"import json, sys\n{code}\nprint(json.dumps(sorted(name for name in sys.modules "
+        "if name.partition('.')[0] == 'scipy' or name == 'importlib.metadata')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe, *args], capture_output=True, text=True, timeout=60,
         env=_source_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_package_does_not_load_scipy_integrate():
+def test_cli_import_loads_no_scipy_or_metadata():
     # a fresh interpreter, since this session's tests may import them themselves
-    assert loaded_scipy_modules("import nmqsim.cli") == "[]"
+    assert loaded_scipy_modules("import nmqsim.cli") == []
 
 
 def test_simulate_does_not_load_unused_scipy(tmp_path):
+    # the run record reads scipy's version from its installed metadata
     code = "from nmqsim import cli\ncli.main(['simulate', '--preset', 'fig3', '--out', sys.argv[1]])"
-    assert loaded_scipy_modules(code, str(tmp_path)) == "[]"
+    assert loaded_scipy_modules(code, str(tmp_path)) == ["importlib.metadata"]
+
+
+def test_sweep_loads_no_scipy(tmp_path):
+    cfg = write_config(tmp_path, "alpha1 = 0.5, 2\ngamma = 0.5\nnbar = 0.2\n")
+    code = "from nmqsim import cli\ncli.main(['sweep', sys.argv[1], '--out', sys.argv[2]])"
+    assert loaded_scipy_modules(code, cfg, str(tmp_path / "sweep")) == ["importlib.metadata"]
+    assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+def test_cross_checks_load_scipy_on_first_call(tmp_path):
+    # the oracle and the memory-kernel solver import scipy.linalg when they take
+    # an exponential, and give the values of this session, where it is loaded
+    imports = "import numpy as np\nfrom nmqsim import TimeGrid, evolve_full, preset_params, solve_nz"
+    assert loaded_scipy_modules(imports) == []
+    params, grid, init = preset_params("fig3"), TimeGrid(1.0, 11), np.array([1.0, 0.5, 0.25, 0.125])
+    calls = (
+        "from nmqsim.oracle import bell_state, full_initial_state\n"
+        "params, grid = preset_params('fig3'), TimeGrid(1.0, 11)\n"
+        "rho = evolve_full(params, full_initial_state(bell_state(), params.nbar), grid)\n"
+        f"y = solve_nz(params, 1, np.array({init.tolist()!r}), grid)\n"
+        "np.savez(sys.argv[1], rho=rho, y=y)"
+    )
+    assert "scipy.linalg" in loaded_scipy_modules(f"{imports}\n{calls}", str(tmp_path / "v.npz"))
+    from nmqsim.nzkernel import solve_nz
+    from nmqsim.oracle import bell_state, evolve_full, full_initial_state
+
+    values = np.load(tmp_path / "v.npz")
+    rho = evolve_full(params, full_initial_state(bell_state(), params.nbar), grid)
+    assert np.array_equal(values["rho"], rho)
+    assert np.array_equal(values["y"], solve_nz(params, 1, init, grid))

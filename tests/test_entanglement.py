@@ -220,6 +220,9 @@ def test_certificate_reports_what_the_series_refuses():
 
 def test_eof_endpoints_and_frozen_value():
     assert entanglement_of_formation(0.0) == 0.0
+    # +0.0, so a dead sample's eof prints as 0 and not -0
+    assert not np.signbit(entanglement_of_formation(0.0))
+    assert not np.signbit(entanglement_of_formation(np.zeros(3))).any()
     assert entanglement_of_formation(1.0) == pytest.approx(1.0, abs=1e-15)
     # C = 0.6 puts the binary-entropy argument at 0.9
     assert entanglement_of_formation(0.6) == pytest.approx(H_09, abs=1e-14)

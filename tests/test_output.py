@@ -27,3 +27,10 @@ def test_trajectory_csv_matches_cellwise_reference(tmp_path, name):
     write_trajectory_csv(tmp_path / "fast.csv", result)
     reference_trajectory_csv(tmp_path / "reference.csv", result)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_trajectory_csv_prints_no_negative_zero(tmp_path):
+    # fig3's dead samples have eof 0, which "%.12g" prints as -0 if its sign bit is set
+    write_trajectory_csv(tmp_path / "fig3.csv", simulate(preset_params("fig3"), default_grid()))
+    fields = (tmp_path / "fig3.csv").read_text().replace("\n", ",").split(",")
+    assert "-0" not in fields
