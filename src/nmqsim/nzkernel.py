@@ -33,10 +33,13 @@ once, by pushing the identity through one step, and takes every later
 state as z_i = z_1 T^(i-1) with :func:`nmqsim.propagator.step_powers`,
 the doubling that also fills the kernel's lags.
 
-E is scipy's ``scipy.linalg.expm``, the only scipy call here.  It is
-imported inside :func:`build_kernel`, so importing this module, or the
-package, loads no scipy module; the first kernel built loads
-``scipy.linalg``.
+E is scipy's ``scipy.linalg.expm``, imported inside :func:`build_kernel`,
+and the powers of E and T are scipy's BLAS products in
+:func:`~nmqsim.propagator.step_powers`, which imports it, so importing this
+module, or the package, loads no scipy module; the first kernel built
+loads ``scipy.linalg``.  Those products use scipy's BLAS so that the solve,
+like the ``expm`` before it, runs in the one OpenBLAS copy that scipy
+bundles and never wakes numpy's.
 """
 
 from dataclasses import dataclass

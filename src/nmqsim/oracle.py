@@ -22,8 +22,12 @@ Hilbert space.
 
 The exponential is scipy's ``scipy.linalg.expm``, which the primary path
 never calls.  It is imported inside the two functions that take it,
-:func:`evolve_full` and :func:`subsystem_transfer_matrix`, so importing
-this module, or the package, loads numpy and no scipy module.
+:func:`evolve_full` and :func:`subsystem_transfer_matrix`, and
+:func:`~nmqsim.propagator.step_powers` imports scipy's BLAS for the march,
+so importing this module, or the package, loads numpy and no scipy module.
+The march multiplies with scipy's BLAS because ``expm`` has already woken
+the OpenBLAS that scipy bundles, and numpy's separate copy would wake a
+second helper thread on the same cores.
 """
 
 import numpy as np

@@ -116,21 +116,35 @@ def step_powers(first, step_map, n: int) -> np.ndarray:
     """``first @ step_map**j`` for j = 0, ..., n - 1, stacked along a new first axis.
 
     ``first`` is a row, a stack of rows or a matrix whose last axis matches
-    ``step_map``; the result has shape (n,) + first.shape.  With
-    E = step_map, the powers are filled by doubling,
-    first E^(m + j) = (first E^j) E^m, in about log2(n) batched products
-    rather than n - 1 single ones.
+    ``step_map``; the result has shape (n,) + first.shape and the BLAS type
+    of np.result_type(first, step_map) (float64 or complex128 for float64
+    and complex128 inputs).  With E = step_map, the powers are filled by
+    doubling, first E^(m + j) = (first E^j) E^m, in about log2(n) batched
+    products rather than n - 1 single ones.
+
+    Every product is scipy's BLAS gemm, written straight into the result
+    through its transposed (Fortran-order) views.  The callers have just
+    taken scipy's ``expm``, so the march stays in the OpenBLAS that scipy
+    bundles and never wakes the helper thread of numpy's separate copy.
+    scipy is imported here, so importing this module loads no scipy module.
     """
+    import scipy.linalg.blas
+
     if n < 1:
         raise ValueError(f"need at least one power, got n = {n}")
     first = np.asarray(first)
-    out = np.empty((n,) + first.shape, dtype=np.result_type(first, step_map))
+    gemm = scipy.linalg.blas.get_blas_funcs("gemm", dtype=np.result_type(first, step_map))
+    out = np.empty((n,) + first.shape, dtype=gemm.dtype)
     out[0] = first
-    m, Em = 1, step_map
-    while m < n:
+    # the rows of the C-order result are the columns of its Fortran-order
+    # transpose, and (first E^j)^T = (E^T)^j first^T
+    rows = math.prod(first.shape[:-1])
+    cols = out.reshape(n * rows, first.shape[-1]).T
+    m, Emt = 1, np.asfortranarray(np.transpose(step_map), dtype=gemm.dtype)
+    while m < n and out.size:
         k = min(m, n - m)
-        out[m : m + k] = out[:k] @ Em
-        m, Em = m + k, Em @ Em
+        gemm(1.0, Emt, cols[:, : k * rows], c=cols[:, m * rows : (m + k) * rows], overwrite_c=True)
+        m, Emt = m + k, gemm(1.0, Emt, Emt)
     return out
 
 

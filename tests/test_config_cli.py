@@ -890,6 +890,10 @@ def test_cross_checks_load_scipy_on_first_call(tmp_path):
     # an exponential, and give the values of this session, where it is loaded
     imports = "import numpy as np\nfrom nmqsim import TimeGrid, evolve_full, preset_params, solve_nz"
     assert loaded_scipy_modules(imports) == []
+    # step_powers marches on scipy's BLAS, imported at its first call
+    march = "import numpy as np\nimport nmqsim.propagator as p"
+    assert loaded_scipy_modules(march) == []
+    assert "scipy.linalg" in loaded_scipy_modules(f"{march}\np.step_powers(np.ones(2), np.eye(2), 3)")
     params, grid, init = preset_params("fig3"), TimeGrid(1.0, 11), np.array([1.0, 0.5, 0.25, 0.125])
     calls = (
         "from nmqsim.oracle import bell_state, full_initial_state\n"

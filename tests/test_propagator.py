@@ -80,19 +80,50 @@ def test_grid_rejects_subnormal_step():
     np.linspace(-1.0, 1.0, 5),  # one row
     np.arange(15.0).reshape(3, 5) / 15.0 - 0.5j,  # a (k, m) stack of rows
     np.eye(4, 5),  # a 4x5 matrix
-], ids=["row", "stack", "matrix"])
+    np.zeros((0, 5)),  # an empty stack
+], ids=["row", "stack", "matrix", "empty"])
 def test_step_powers_match_sequential_products(first):
     rng = np.random.default_rng(13)
     step_map = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))) / 3.0
     for n in (1, 2, 3, 7, 8, 9):
         powers = step_powers(first, step_map, n)
-        assert powers.shape == (n,) + first.shape
+        assert powers.shape == (n,) + first.shape and powers.dtype == complex
         expected = first.astype(complex)
         for j in range(n):
-            assert np.abs(powers[j] - expected).max() <= 1e-14
+            assert np.abs(powers[j] - expected).max(initial=0.0) <= 1e-14
             expected = expected @ step_map
     with pytest.raises(ValueError):
         step_powers(first, step_map, 0)
+
+
+def test_step_powers_keep_real_inputs_real():
+    # real inputs march on dgemm and stay float64
+    rng = np.random.default_rng(13)
+    first, step_map = rng.normal(size=(3, 5)), rng.normal(size=(5, 5)) / 3.0
+    powers = step_powers(first, step_map, 9)
+    assert powers.dtype == np.float64
+    expected = first
+    for j in range(9):
+        assert np.abs(powers[j] - expected).max() <= 1e-14
+        expected = expected @ step_map
+
+
+@pytest.mark.parametrize("shape, n", [
+    ((68,), 2001),  # the oracle's warm-reservoir row; 2001 ends in a partial doubling block
+    ((2, 9), 10000),  # solve_nz's stack of two [y, h] states at dt = 1e-3
+], ids=["oracle", "solve_nz"])
+def test_step_powers_at_the_callers_shapes(shape, n):
+    rng = np.random.default_rng(28)
+    width = shape[-1]
+    # a unitary step map keeps every power at the norm of first
+    step_map, _ = np.linalg.qr(rng.normal(size=(width, width)) + 1j * rng.normal(size=(width, width)))
+    first = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    powers = step_powers(first, step_map, n)
+    assert powers.shape == (n,) + shape and powers.dtype == complex
+    expected = first
+    for j in range(n):
+        assert np.abs(powers[j] - expected).max() <= 1e-11
+        expected = expected @ step_map
 
 
 def test_time_zero_is_identity():
