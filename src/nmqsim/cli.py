@@ -45,6 +45,14 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+# what a run can raise that main reports as a numerical failure
+_NUMERICAL_ERRORS = (ArithmeticError, MemoryError, RuntimeError, ValueError)
+
+
+def _reason(exc: Exception) -> str:
+    # str(MemoryError()) is empty; numpy's "Unable to allocate ..." is kept
+    return str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+
 
 def _read_config(path: str) -> str:
     try:
@@ -131,8 +139,8 @@ def cmd_sweep(args) -> int:
         named = named or "the only point"
         try:
             row, precise, live_resolved = _sweep_row(assignment, params, spec.grid, spec.threshold)
-        except (ArithmeticError, RuntimeError, ValueError) as exc:
-            raise RuntimeError(f"sweep point {named}: {exc}") from exc
+        except _NUMERICAL_ERRORS as exc:
+            raise RuntimeError(f"sweep point {named}: {_reason(exc)}") from exc
         rows.append(row)
         if not precise:
             limited.append(named)
@@ -223,8 +231,8 @@ def main(argv=None) -> int:
         # _read_config turns read errors into ConfigError, so this one came from writing output
         print(f"configuration error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, MemoryError, RuntimeError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except _NUMERICAL_ERRORS as exc:
+        print(f"numerical failure: {_reason(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

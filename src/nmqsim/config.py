@@ -24,19 +24,20 @@ Keys and defaults:
     threshold    event detection threshold  default 1e-6, in (0, 1]
 
 Both file kinds go through one reader: a scenario is a sweep of one
-point.  It parses every value of every physical key before it checks how
-many values a key has, so a file with a bad value and a value list names
-the bad value whichever command reads it.  A scenario then takes one value
-per key, and a preset file none; a sweep splits the keys into axes (several
-values) and fixed keys (one).  Both readers check the grid and threshold
-before they build parameters, so a file with a fault in each names the
-same one from either command.  parse_sweep builds every point's
-parameters before it returns, so a bad value in any axis is a
-configuration error before the first point runs.  Plots are a switch of
-the ``simulate`` command line, not a key.
+point, and a preset stands for the four keys it fixes.  The reader parses
+every value of every physical key before it checks how many values a key
+has, so a file with a bad value and a value list names the bad value
+whichever command reads it.  A scenario then takes one value per key, and
+a preset file none; a sweep splits the keys into axes (several values)
+and fixed keys (one).  One function then checks the grid, then the
+threshold, and then builds every point's parameters for both readers, so
+a file with a fault in each names the same one from either command, and a
+bad value in any axis is a configuration error before the first point
+runs.  Plots are a switch of the ``simulate`` command line, not a key.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,6 @@ _PHYSICAL_KEYS = (
 _GRID_KEYS = ("t_end", "num_points")
 _OTHER_KEYS = ("preset", "threshold")
 _ALL_KEYS = _PHYSICAL_KEYS + _GRID_KEYS + _OTHER_KEYS
-
-_DELTA_KEYS = ("delta1", "delta2")
-_OMEGA34_KEYS = ("omega3", "omega4")
 
 
 class ConfigError(ValueError):
@@ -97,18 +95,13 @@ class SweepSpec:
             raise ConfigError(
                 f"sweep has {self.size()} points, more than the cap {SWEEP_CAP}"
             )
-        keys = list(self.axes)
-        points = []
-        for combo in itertools.product(*(self.axes[k] for k in keys)):
-            assignment = dict(zip(keys, combo))
-            points.append((assignment, _build_params({**self.fixed, **assignment})))
+        combos = itertools.product(*self.axes.values())
+        assignments = (dict(zip(self.axes, combo)) for combo in combos)
+        points = [(a, _build_params({**self.fixed, **a})) for a in assignments]
         object.__setattr__(self, "_points", points)
 
     def size(self) -> int:
-        n = 1
-        for values in self.axes.values():
-            n *= len(values)
-        return n
+        return math.prod(len(values) for values in self.axes.values())
 
     def points(self):
         """Iterate (assignment dict, ModelParams) in deterministic order."""
@@ -171,9 +164,7 @@ def _parse_values(key: str, text: str) -> list:
 
 
 def _check_forms(pairs: dict):
-    has_delta = any(k in pairs for k in _DELTA_KEYS)
-    has_omega34 = any(k in pairs for k in _OMEGA34_KEYS)
-    if has_delta and has_omega34:
+    if pairs.keys() & {"delta1", "delta2"} and pairs.keys() & {"omega3", "omega4"}:
         raise ConfigError(
             "give either detunings (delta1/delta2) or absolute frequencies "
             "(omega3/omega4), not both"
@@ -237,8 +228,18 @@ def _threshold(pairs: dict) -> float:
     return value
 
 
+def _sweep_spec(pairs: dict, values: dict) -> SweepSpec:
+    """The grid, then the threshold, then every point's parameters, for both readers."""
+    return SweepSpec(
+        axes={key: got for key, got in values.items() if len(got) > 1},
+        fixed={key: got[0] for key, got in values.items() if len(got) == 1},
+        grid=_build_grid(pairs),
+        threshold=_threshold(pairs),
+    )
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Parse a single-run configuration."""
+    """Parse a single-run configuration: a sweep of one point."""
     pairs = _parse_lines(text)
     _check_forms(pairs)
     if "preset" in pairs:
@@ -248,23 +249,20 @@ def parse_scenario(text: str) -> Scenario:
         clash = [k for k in _PHYSICAL_KEYS if k in pairs]
         if clash:
             raise ConfigError(
-                f"preset fixes the physical parameters; remove {clash[0]!r}",
-                key=clash[0],
+                f"preset fixes the physical parameters; remove {clash[0]!r}", key=clash[0]
             )
-        values = None
+        p = PRESETS[name]  # a preset stands for the four keys it fixes
+        values = {"delta1": [p.delta], "alpha1": [p.alpha], "gamma": [p.gamma], "nbar": [p.nbar]}
     else:
-        parsed = _physical_values(pairs)
-        for key, got in parsed.items():
+        values = _physical_values(pairs)
+        for key, got in values.items():
             if len(got) != 1:
                 raise ConfigError(
                     f"key {key!r}: a single run takes one value, not {len(got)}", key=key
                 )
-        values = {key: got[0] for key, got in parsed.items()}
-    grid = _build_grid(pairs)
-    threshold = _threshold(pairs)
-    # the parameters come last, as in SweepSpec, so both readers name the same fault
-    params = PRESETS[pairs["preset"]].params() if values is None else _build_params(values)
-    return Scenario(params=params, grid=grid, threshold=threshold)
+    spec = _sweep_spec(pairs, values)
+    ((_, params),) = spec.points()
+    return Scenario(params=params, grid=spec.grid, threshold=spec.threshold)
 
 
 def parse_sweep(text: str) -> SweepSpec:
@@ -273,10 +271,4 @@ def parse_sweep(text: str) -> SweepSpec:
     if "preset" in pairs:
         raise ConfigError("sweeps take explicit parameters, not presets", key="preset")
     _check_forms(pairs)
-    values = _physical_values(pairs)
-    return SweepSpec(
-        axes={key: got for key, got in values.items() if len(got) > 1},
-        fixed={key: got[0] for key, got in values.items() if len(got) == 1},
-        grid=_build_grid(pairs),
-        threshold=_threshold(pairs),
-    )
+    return _sweep_spec(pairs, _physical_values(pairs))

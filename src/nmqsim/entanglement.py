@@ -152,7 +152,7 @@ def markovian_rate(params: ModelParams, k: int) -> float:
     """
     if params.gamma <= 0.0:
         raise ValueError("markovian rate requires gamma > 0")
-    return params.coupling(k) ** 2 / params.gamma / (2.0 * params.nbar + 1.0) ** 2
+    return params.pair(k)[2] ** 2 / params.gamma / (2.0 * params.nbar + 1.0) ** 2
 
 
 class EventKind(enum.Enum):

@@ -53,7 +53,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,6 +110,8 @@ class ModelParams:
     ``gamma`` must be non-negative (it is a damping rate) and ``nbar``
     must be non-negative (it is a thermal occupation).  Couplings and
     detunings may take either sign, and zero coupling is allowed.
+    ``pair(k)`` gives pair k's qubit frequency, auxiliary frequency and
+    coupling; the detuning ``delta_k`` is the first less the second.
     """
 
     omega1: float
@@ -122,7 +124,7 @@ class ModelParams:
     nbar: float
 
     def __post_init__(self) -> None:
-        for name in ("omega1", "omega2", "omega3", "omega4", "alpha1", "alpha2", "gamma", "nbar"):
+        for name in (field.name for field in fields(self)):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ParameterError(f"{name} must be a real number, got {value!r}", name)
@@ -169,29 +171,12 @@ class ModelParams:
         """Effective decoherence rate ``(2*nbar + 1) * gamma``."""
         return (2.0 * self.nbar + 1.0) * self.gamma
 
-    @property
-    def delta1(self) -> float:
-        return self.omega1 - self.omega3
-
-    @property
-    def delta2(self) -> float:
-        return self.omega2 - self.omega4
-
-    def qubit_frequency(self, k: int) -> float:
+    def pair(self, k: int) -> tuple[float, float, float]:
+        """Pair k's (qubit frequency, auxiliary frequency, coupling), k = 1 or 2."""
         _check_subsystem(k)
-        return self.omega1 if k == 1 else self.omega2
-
-    def auxiliary_frequency(self, k: int) -> float:
-        _check_subsystem(k)
-        return self.omega3 if k == 1 else self.omega4
-
-    def coupling(self, k: int) -> float:
-        _check_subsystem(k)
-        return self.alpha1 if k == 1 else self.alpha2
-
-    def detuning(self, k: int) -> float:
-        _check_subsystem(k)
-        return self.delta1 if k == 1 else self.delta2
+        if k == 1:
+            return self.omega1, self.omega3, self.alpha1
+        return self.omega2, self.omega4, self.alpha2
 
 
 def _check_subsystem(k: int) -> None:
@@ -262,11 +247,8 @@ def build_generator(params: ModelParams, k: int) -> np.ndarray:
     populations close on indices ``{1, 2, 3, 4}`` and the two coherence
     sectors ``{5, 6}`` and ``{7, 8}`` are mutual complex conjugates.
     """
-    _check_subsystem(k)
-    alpha = params.coupling(k)
-    delta = params.detuning(k)
-    omega = params.qubit_frequency(k)
-    omega_aux = params.auxiliary_frequency(k)
+    omega, omega_aux, alpha = params.pair(k)
+    delta = omega - omega_aux
     ge = params.gamma_eff
 
     L = np.zeros((9, 9), dtype=complex)

@@ -79,10 +79,11 @@ def _liouvillian(params: ModelParams, pairs, nsites: int) -> np.ndarray:
     eye = np.eye(2**nsites, dtype=complex)
     h = np.zeros_like(eye)
     for k, qubit, aux in pairs:
-        h += params.qubit_frequency(k) * _embed(_NUM, qubit, nsites)
-        h += params.auxiliary_frequency(k) * _embed(_NUM, aux, nsites)
+        omega, omega_aux, alpha = params.pair(k)
+        h += omega * _embed(_NUM, qubit, nsites)
+        h += omega_aux * _embed(_NUM, aux, nsites)
         hop = _embed(_SP, qubit, nsites) @ _embed(_SM, aux, nsites)
-        h += params.coupling(k) * (hop + hop.T)
+        h += alpha * (hop + hop.T)
     # vec(h rho - rho h) = (h (x) 1 - 1 (x) h^T) vec rho, row-major vec
     return -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + sum(
         _thermal_dissipator(_embed(_SM, aux, nsites), params.gamma, params.nbar)

@@ -131,12 +131,16 @@ def scenario_hash(scenario: dict) -> str:
 
 
 @functools.cache
-def _scipy_version() -> str:
+def _scipy_version() -> str | None:
     # read from scipy's installed metadata, so a run never imports scipy;
     # once per process, since the lookup scans the installed distributions
-    from importlib.metadata import version
+    from importlib.metadata import PackageNotFoundError, version
 
-    return version("scipy")
+    try:
+        return version("scipy")
+    except PackageNotFoundError:
+        # simulate and sweep run without scipy; only verify needs it
+        return None
 
 
 def write_run_record(path, scenario: dict, output_files) -> None:

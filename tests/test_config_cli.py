@@ -47,8 +47,9 @@ def test_builtin_parameter_table():
     for name, (delta, alpha, gamma, nbar) in PRESET_TABLE.items():
         p = PRESETS[name].params()
         assert p.omega1 == 10.0 and p.omega2 == 10.0
-        assert p.delta1 == pytest.approx(delta, abs=1e-12)
-        assert p.delta2 == pytest.approx(delta, abs=1e-12)
+        for k in (1, 2):
+            omega, omega_aux, _ = p.pair(k)
+            assert omega - omega_aux == pytest.approx(delta, abs=1e-12)
         assert p.alpha1 == alpha and p.alpha2 == alpha
         assert p.gamma == gamma and p.nbar == nbar
 
@@ -81,7 +82,8 @@ threshold = 1e-5
 """
     sc = parse_scenario(text)
     assert sc.params.alpha1 == 2.5 and sc.params.alpha2 == 2.5
-    assert sc.params.delta1 == pytest.approx(1.0)
+    omega, omega_aux, _ = sc.params.pair(1)
+    assert omega - omega_aux == pytest.approx(1.0)
     assert sc.params.omega3 == pytest.approx(9.0)
     assert sc.grid.t_end == 4.0 and sc.grid.num_points == 401
     assert sc.threshold == 1e-5
@@ -92,10 +94,11 @@ threshold = 1e-5
 
 
 def test_scenario_with_preset_key():
-    sc = parse_scenario("preset = fig7\nt_end = 5\n")
-    p = PRESETS["fig7"].params()
-    assert sc.params == p
-    assert sc.grid.t_end == 5.0
+    # a preset file resolves to exactly its preset's parameters
+    for name, preset in PRESETS.items():
+        sc = parse_scenario(f"preset = {name}\nt_end = 5\n")
+        assert sc.params == preset.params()
+        assert sc.grid.t_end == 5.0
 
 
 def test_scenario_errors():
@@ -193,6 +196,60 @@ def test_parameter_fault_names_its_key(text, key):
         with pytest.raises(ConfigError) as err:
             parse(text)
         assert err.value.key == key
+
+
+ONE_VALUE = "key 'alpha1': a single run takes one value, not {}"
+
+# files with two faults: (file, simulate's message and key, sweep's message and key)
+DOUBLE_FAULTS = {
+    "list-grid": (
+        "alpha1 = 1, 2\nt_end = -1\n",
+        (ONE_VALUE.format(2), "alpha1"),
+        ("t_end must be finite and > 0, got -1.0", "t_end"),
+    ),
+    "range-params": (
+        "alpha1 = 1:2:3\ngamma = -1\n",
+        (ONE_VALUE.format(3), "alpha1"),
+        ("gamma must be >= 0, got -1.0", "gamma"),
+    ),
+    "list-threshold": (
+        "alpha1 = 1, 2\nthreshold = 5\n",
+        (ONE_VALUE.format(2), "alpha1"),
+        ("key 'threshold' must lie in (0, 1]", "threshold"),
+    ),
+    "preset-forms": (
+        "preset = fig3\ndelta1 = 0\nomega3 = 9\n",
+        ("give either detunings (delta1/delta2) or absolute frequencies "
+         "(omega3/omega4), not both", None),
+        ("sweeps take explicit parameters, not presets", "preset"),
+    ),
+    "list-cap": (
+        "alpha1 = 1:2:400\ngamma = 1:2:400\n",
+        (ONE_VALUE.format(400), "alpha1"),
+        (f"sweep has 160000 points, more than the cap {SWEEP_CAP}", None),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DOUBLE_FAULTS)
+def test_double_fault_precedence(name):
+    text, scenario_fault, sweep_fault = DOUBLE_FAULTS[name]
+    for parse, fault in ((parse_scenario, scenario_fault), (parse_sweep, sweep_fault)):
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        assert (str(err.value), err.value.key) == fault
+
+
+def test_refused_list_builds_no_point(monkeypatch):
+    # simulate refuses the 160000-point file's lists, and sweep its size,
+    # before either builds any point's parameters
+    def never(_values):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr("nmqsim.config._build_params", never)
+    for parse in (parse_scenario, parse_sweep):
+        with pytest.raises(ConfigError):
+            parse(DOUBLE_FAULTS["list-cap"][0])
 
 
 def test_negative_zero_resolves_and_hashes_like_zero():
@@ -448,13 +505,26 @@ def test_sweep_checks_every_point_before_running(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_memory_error_exit_code(tmp_path, monkeypatch):
+def test_memory_error_exit_code(tmp_path, monkeypatch, capsys):
+    # str(MemoryError()) is empty, so the failure line says what happened
     def exhausted(*_args):
         raise MemoryError
 
     monkeypatch.setattr("nmqsim.cli.simulate", exhausted)
     out = tmp_path / "oom"
     assert main(["simulate", "--preset", "fig2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: out of memory\n"
+    cfg = write_config(tmp_path, "alpha1 = 2, 3\nnum_points = 101\n")
+    assert main(["sweep", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: sweep point alpha1=2: out of memory\n"
+    assert not out.exists()
+
+    def unable(*_args):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr("nmqsim.cli.simulate", unable)
+    assert main(["simulate", "--preset", "fig2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: Unable to allocate 8.00 GiB\n"
     assert not out.exists()
 
 
@@ -559,6 +629,27 @@ def test_run_record_reads_the_scipy_version_once(tmp_path, monkeypatch):
     assert calls == ["scipy"]
 
 
+def test_run_record_without_scipy_metadata(tmp_path, monkeypatch):
+    # simulate needs no scipy, so a missing scipy distribution is recorded, not fatal
+    import importlib.metadata
+
+    from nmqsim import output
+
+    def missing(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", missing)
+    output._scipy_version.cache_clear()
+    try:
+        out = tmp_path / "noscipy"
+        assert main(["simulate", "--preset", "fig2", "--out", str(out)]) == 0
+        record = json.loads((out / "run.json").read_text())
+    finally:
+        output._scipy_version.cache_clear()
+    assert record["versions"]["scipy"] is None
+    assert (out / "trajectory.csv").exists() and (out / "events.csv").exists()
+
+
 def test_verify_has_no_nz_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--nz"])
@@ -606,6 +697,30 @@ def test_scenario_hash_is_canonical(tmp_path):
     moved, _ = run_hash(tmp_path, "sweep", base.format("0.5, 0.75"), "moved")
     assert sweep == respelled
     assert moved != sweep
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig6"])
+def test_one_point_sweep_reproduces_simulate(tmp_path, name):
+    preset = PRESETS[name]
+    cfg = write_config(tmp_path, (
+        f"delta1 = {preset.delta!r}\nalpha1 = {preset.alpha!r}\n"
+        f"gamma = {preset.gamma!r}\nnbar = {preset.nbar!r}\n"
+    ))
+    assert main(["simulate", cfg, "--out", str(tmp_path / "sim")]) == 0
+    assert main(["sweep", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    header, [row] = read_sweep(tmp_path / "sweep" / "sweep.csv")
+    assert header == ["final_death", "revivals", "concurrence_integral"]
+
+    events = [
+        line.split(",")
+        for line in (tmp_path / "sim" / "events.csv").read_text().splitlines()[1:]
+    ]
+    finals = [time for kind, time, _ in events if kind == "FINAL_DEATH"]
+    assert row[0] == (finals[0] if finals else "none")
+    assert row[1] == str(sum(1 for kind, _, _ in events if kind == "REVIVAL"))
+    grid = default_grid()
+    result = simulate(preset_params(name), grid)
+    assert row[2] == format_number(np.trapezoid(result.series.concurrence, grid.points))
 
 
 def test_sweep_rows_match_simulate(tmp_path):

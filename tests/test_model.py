@@ -50,11 +50,8 @@ def test_generator_matches_equations_of_motion():
     params = make_params(alpha=2.0, delta=2.0, gamma=0.5, nbar=0.2)
     for k in (1, 2):
         L = build_generator(params, k)
-        ref = expected_generator(
-            params.coupling(k), params.detuning(k),
-            params.qubit_frequency(k), params.auxiliary_frequency(k),
-            params.gamma_eff,
-        )
+        omega, omega_aux, alpha = params.pair(k)
+        ref = expected_generator(alpha, omega - omega_aux, omega, omega_aux, params.gamma_eff)
         assert np.array_equal(L, ref)
 
 
@@ -154,7 +151,9 @@ def test_from_detunings_defaults():
                                    alpha1=1.0, alpha2=1.0, gamma=0.5, nbar=0.0)
     assert p.omega2 == 10.0
     assert p.omega3 == 8.0 and p.omega4 == 8.0
-    assert p.delta1 == pytest.approx(2.0) and p.delta2 == pytest.approx(2.0)
+    for k in (1, 2):
+        omega, omega_aux, _ = p.pair(k)
+        assert omega - omega_aux == pytest.approx(2.0)
 
 
 def test_parameter_validation():
@@ -173,4 +172,4 @@ def test_subsystem_index_checked():
     with pytest.raises(ValueError):
         build_generator(params, 3)
     with pytest.raises(ValueError):
-        params.coupling(0)
+        params.pair(0)

@@ -92,11 +92,11 @@ def explicit_liouvillian(params, sites):
     num = np.diag([1.0, 0.0])
     h = np.zeros((dim, dim))
     for k, (qubit, aux) in sites.items():
-        h = h + params.qubit_frequency(k) * on(num, qubit)
+        h = h + params.pair(k)[0] * on(num, qubit)
     for k, (qubit, aux) in sites.items():
-        h = h + params.auxiliary_frequency(k) * on(num, aux)
+        h = h + params.pair(k)[1] * on(num, aux)
     for k, (qubit, aux) in sites.items():
-        h = h + params.coupling(k) * (on(SP, qubit) @ on(SM, aux) + on(SM, qubit) @ on(SP, aux))
+        h = h + params.pair(k)[2] * (on(SP, qubit) @ on(SM, aux) + on(SM, qubit) @ on(SP, aux))
     liouv = -1j * (left(h) - right(h))
     for _, aux in sites.values():
         for lower, rate in ((on(SM, aux), params.nbar + 1.0), (on(SP, aux), params.nbar)):

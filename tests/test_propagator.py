@@ -478,9 +478,9 @@ def _pair_rates(params, k):
     The X state, checked against the oracle's product of two 16x16 pair
     maps whose own error grows with gamma_eff, adds gamma_eff.
     """
-    beat = 2.0 * abs(params.coupling(k)) + abs(params.detuning(k))
-    omega = abs(params.qubit_frequency(k))
-    return beat, omega + beat, omega + params.gamma_eff + beat
+    omega, omega_aux, alpha = params.pair(k)
+    beat = 2.0 * abs(alpha) + abs(omega - omega_aux)
+    return beat, abs(omega) + beat, abs(omega) + params.gamma_eff + beat
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

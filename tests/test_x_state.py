@@ -115,7 +115,7 @@ def test_x_matrix_layout():
     assert np.array_equal(rhos, np.conj(np.swapaxes(rhos, 1, 2)))
 
 
-def test_x_components_series():
+def test_x_matrix_of_series():
     _, (a, b, c, d, f) = _state("fig3", TimeGrid(10.0, 201).points)
     rhos = x_matrix(a, b, c, d, f)
     assert np.abs(a + b + c + d - 1.0).max() < 1e-9
@@ -123,7 +123,7 @@ def test_x_components_series():
     assert np.array_equal(rhos[:, 0, 3], f)
 
 
-def test_physicality_deviations():
+def test_state_certificate_of_fig6():
     _, x = _state("fig6", TimeGrid(10.0, 501).points)
     trace_dev, herm_dev, min_eig, _ = state_certificate(x_matrix(*x))
     assert trace_dev < 1e-9
