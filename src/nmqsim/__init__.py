@@ -4,9 +4,10 @@ The package tracks the reduced two-qubit density matrix of a pair of
 entangled qubits, each exchange-coupled to a thermally damped auxiliary
 atom.  Each pair evolves independently under a closed 9-dimensional
 coefficient equation, and each qubit enters the joint X state only through
-two scalar responses read off its generator: a population response s_k(t)
-and a coherence response u_k(t).  Concurrence, entanglement of formation
-and sudden-death/revival events are computed from the result.
+one complex response read off its generator: the coherence response u_k(t),
+whose squared modulus is the population response s_k(t).  Concurrence,
+entanglement of formation and sudden-death/revival events are computed
+from the result.
 
 Three independent cross-checks ship with the package: a brute-force
 16-dimensional master-equation integration, a memory-kernel (Volterra)

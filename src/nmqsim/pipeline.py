@@ -1,8 +1,9 @@
 """End-to-end simulation: responses, X state, entanglement.
 
-This is the path the CLI drives.  Each qubit enters only through its two
-scalar responses s_k and u_k (see :mod:`nmqsim.propagator`), closed forms
-that give the X-state components at any time, not just on the sample grid.
+This is the path the CLI drives.  Each qubit enters only through its
+coherence response u_k, with population response s_k = |u_k|^2 (see
+:mod:`nmqsim.propagator`), a closed form that gives the X-state components
+at any time, not just on the sample grid.
 The continuous-time precursor used to refine event times calls the grid's
 response evaluator, whose constants are computed once per run, on an array
 of times and builds the X state with the same formula as the grid,

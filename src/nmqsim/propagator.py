@@ -1,13 +1,23 @@
-"""Two scalar responses per qubit, and the two-qubit X state they build.
+"""One scalar response per qubit, and the two-qubit X state it builds.
 
 Each qubit couples to its own memory atom and bath, so the two pairs
 evolve independently and qubit k enters the reduced two-qubit state only
-through two scalar functions of time, fixed by its coupling, detuning,
+through one complex function of time, fixed by its coupling, detuning,
 frequencies and gamma_eff and read off its 9x9 generator
 L_k = build_generator(params, k) (see :mod:`nmqsim.model`):
 
-    s_k(t) = [exp(B_k t)]_00,   B_k = L_k[1:5, 1:5]   population response
     u_k(t) = [exp(C_k t)]_00,   C_k = L_k[5:7, 5:7]   coherence response
+
+Its population response s_k(t) = [exp(B_k t)]_00 of the block
+B_k = L_k[1:5, 1:5] is |u_k(t)|^2.  B_k is similar to the Kronecker sum
+C_k (x) 1 + 1 (x) conj(C_k), so exp(B_k t) acts as the tensor square
+exp(C_k t) (x) conj(exp(C_k t)), and both blocks depend on nbar only
+through gamma_eff, so the identity holds at every temperature.  At zero
+temperature it is the population |G(t)|^2 of one excitation damped
+through a pseudomode with amplitude G (Garraway, Phys. Rev. A 55, 2290
+(1997); Bellomo, Lo Franco and Compagno, Phys. Rev. Lett. 99, 160502
+(2007)).  The tests take s from a 50-digit exponential of B_k itself
+(tests/high_precision.py), its independent reference.
 
 With w = 2 nbar + 1, qubit k's excited population is
 e_k = nbar/w + s_k (nbar + 1)/w if it starts excited and
@@ -20,35 +30,12 @@ state (|00> + |11>)/sqrt(2) evolves into the X state
 
 :func:`x_matrix` builds the 4x4 matrix of these five numbers for the cross-checks.
 
-Both responses are closed forms, elementwise in t, read from the block
-entries; no matrix exponential is taken.  The functions here take the
-pair's :class:`~nmqsim.model.ModelParams` and build L_k themselves, so
-build_generator stays the one statement of the equations of motion and
-the block relations the closed forms rely on hold by construction.
+u is a closed form, elementwise in t, read from the block entries; no
+matrix exponential is taken.  The functions here take the pair's
+:class:`~nmqsim.model.ModelParams` and build L_k themselves, so
+build_generator stays the one statement of the equations of motion.
 
-s: write gamma = gamma_eff and X = B + gamma I.  X has the even
-characteristic polynomial mu^4 - P mu^2 - Q, so X^2 satisfies
-x^2 - P x - Q = 0, whose roots x+ >= 0 >= x- are real.  Splitting
-exp(X t) = cosh(X t) + sinh(X t) and interpolating on {x+, x-}
-(Cayley-Hamilton) gives
-
-    s(t) = exp(-gamma t) [g(x-) + gamma h(x-) + ((X^2)_00 - x-) Dg
-                          + ((X^3)_00 - gamma x-) Dh],
-
-with g(x) = cosh(t sqrt(x)), h(x) = sinh(t sqrt(x)) / sqrt(x) (cos and
-sin / sqrt(-x) for x < 0) and Dg, Dh their divided differences over
-{x+, x-}.  The terms split into a slow part exp(-kappa t), where
-kappa = gamma - sqrt(x+) is formed without cancellation, and a fast part
-exp(-gamma t), so nothing overflows at large gamma t.  g and h are entire
-in x: where t^2 (x+ - x-) < 1, which holds around the exceptional point
-x+ = x- = 0 (zero detuning at alpha = gamma_eff / 2), the divided
-differences are summed as series instead of difference quotients
-(McCurdy, Ng and Parlett, "Accurate computation of divided differences
-of the exponential function", Math. Comp. 43 (1984) 501-528).  The
-parameters enter s only through the products of the block's entries;
-nbar enters only through gamma_eff.
-
-u: exp(C t)_00 = exp(m t) [cosh(z) + h t sinh(z) / z] of the 2x2 block,
+exp(C t)_00 = exp(m t) [cosh(z) + h t sinh(z) / z] of the 2x2 block,
 with m = tr C / 2, h = (C_00 - C_11) / 2, sigma^2 = h^2 + C_01 C_10 and
 z = sigma t; it is continuous through sigma = 0, where C is defective.
 Its slow eigenvalue m + sigma cancels under strong damping, so it is
@@ -75,11 +62,6 @@ __all__ = [
     "x_matrix",
     "x_state_from_responses",
 ]
-
-# 1 / n! for the divided-difference series; with t^2 (x+ - x-) < 1 the terms
-# of Dg and Dh beyond k = 10 fall below 2^-60 of the sums
-_INV_FACTORIAL = [1.0 / math.factorial(n) for n in range(22)]
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -151,46 +133,15 @@ def step_powers(first, step_map, n: int) -> np.ndarray:
 def _response_evaluator(pairs):
     """Evaluator t -> (s, u) of the given (params, k) pairs, each of shape (pairs,) + shape(t).
 
-    The constants of both closed forms are read from the blocks of each
-    pair's :func:`~nmqsim.model.build_generator` once, so each call is a
-    fixed number of elementwise operations.  Times are not checked here:
-    they must be finite and >= 0, as :func:`responses` checks.
+    The constants of u's closed form are read from the coherence block of
+    each pair's :func:`~nmqsim.model.build_generator` once, so each call is
+    a fixed number of elementwise operations, and s is |u|^2.  Times are not
+    checked here: they must be finite and >= 0, as :func:`responses` checks.
     """
-    # constants of shape (pairs, 1) broadcast over t
-    gens = np.array([build_generator(params, k) for params, k in pairs])[:, :, :, None]
-
-    # s, from products of the population block's entries b_ij = L[i+1, j+1]
-    gamma = -gens[:, 2, 2].real
-    b01b10, b12b21, b13b31 = (
-        (gens[:, i, j] * gens[:, j, i]).real for i, j in ((1, 2), (2, 3), (2, 4))
-    )
-    p = gamma * gamma + b01b10 + b12b21 + b13b31
-    q = -gamma * gamma * b12b21
-    r = np.sqrt(p * p + 4.0 * q)
-    big = 0.5 * (p + np.copysign(r, p))  # the root of larger magnitude
-    other = -q / np.where(big == 0.0, 1.0, big)
-    x_plus, x_minus = np.where(p >= 0.0, big, other), np.where(p >= 0.0, other, big)
-    root_plus, root_minus = np.sqrt(x_plus), np.sqrt(-x_minus)
-    # kappa = gamma - sqrt(x+) = (gamma^2 - x+) / (gamma + sqrt(x+)), where
-    # gamma^2 - x+ = -2 gamma^2 (b01 b10 + b13 b31) / (2 gamma^2 - P + r)
-    kappa_den = (2.0 * gamma * gamma - p + r) * (gamma + root_plus)
-    kappa = -2.0 * gamma * gamma * (b01b10 + b13b31) / np.where(kappa_den == 0.0, 1.0, kappa_den)
-    coef_g = gamma * gamma + b01b10 - x_minus  # (X^2)_00 - x-
-    coef_h = gamma * (gamma * gamma + 2.0 * b01b10 - x_minus)  # (X^3)_00 - gamma x-
-    # Dg and Dh are difference quotients over r where t^2 r >= 1, i.e. t >= 1 / sqrt(r);
-    # there s = e^{-kappa t} [cg/r (1 + em/2) + ch/r sinh+]
-    #         + e^{-gamma t} [(1 - cg/r) cos(t root-) + (gamma - ch/r) sin-]
-    inv_r = np.where(r > 0.0, 1.0 / np.where(r > 0.0, r, 1.0), 0.0)
-    quotient_from = np.where(r > 0.0, np.sqrt(inv_r), np.inf)
-    slow_g, slow_h = coef_g * inv_r, coef_h * inv_r
-    fast_g, fast_h = 1.0 - slow_g, gamma - slow_h
-    plus_zero, minus_zero = root_plus == 0.0, root_minus == 0.0
-    two_root_plus, half_slow_g = 2.0 * root_plus, 0.5 * slow_g
-    neg_half_inv_plus = -0.5 / np.where(plus_zero, 1.0, root_plus)
-    inv_minus = 1.0 / np.where(minus_zero, 1.0, root_minus)
-
-    # u, from the coherence block shifted by its common rotation i Im m
-    (c00, c01), (c10, c11) = gens[:, 5:7, 5:7].transpose(1, 2, 0, 3)
+    # constants of shape (pairs, 1) broadcast over t, from the coherence
+    # block shifted by its common rotation i Im m
+    blocks = np.array([build_generator(params, k) for params, k in pairs])[:, 5:7, 5:7, None]
+    (c00, c01), (c10, c11) = blocks.transpose(1, 2, 0, 3)
     mean = 0.5 * (c00 + c11)
     half = 0.5 * (c00 - c11)
     sigma = np.sqrt(half * half + c01 * c10)  # principal root: Re sigma >= 0
@@ -206,39 +157,9 @@ def _response_evaluator(pairs):
 
     def at(times):
         t = np.asarray(times, dtype=float)
-        neg_t = -t
-        # with slow = e^{-kappa t} and em = e^{-2 t root+} - 1, e^{-gamma t} cosh(t root+)
-        # = slow (1 + em / 2) and e^{-gamma t} sinh(t root+) / root+ = slow sinh_plus;
-        # cos_minus and sin_minus are cos(t root-) and sin(t root-) / root-
-        em = np.expm1(two_root_plus * neg_t)
-        slow = np.exp(kappa * neg_t)
-        sinh_plus = np.where(plus_zero, t, em * neg_half_inv_plus)
-        fast = np.exp(gamma * neg_t)
-        z = root_minus * t
-        cos_minus = np.cos(z)
-        sin_minus = np.where(minus_zero, t, np.sin(z) * inv_minus)
-        s = (slow * (slow_g + half_slow_g * em + slow_h * sinh_plus)
-             + fast * (fast_g * cos_minus + fast_h * sin_minus))
-        near = t < quotient_from
-        if near.any():
-            # the series runs on every sample; capping t keeps it finite on the
-            # far ones, whose values np.where drops, and leaves the near ones exact
-            tc = np.minimum(t, quotient_from)
-            # D_k = sum_j u^j v^(k-1-j) is the divided difference of x^k over {u, v}
-            u, v = tc * tc * x_plus, tc * tc * x_minus
-            term, v_pow = np.ones_like(u), np.ones_like(u)
-            sum_g = sum_h = 0.0
-            for k in range(1, 11):
-                sum_g = sum_g + term * _INV_FACTORIAL[2 * k]
-                sum_h = sum_h + term * _INV_FACTORIAL[2 * k + 1]
-                v_pow = v_pow * v
-                term = u * term + v_pow
-            series = cos_minus + gamma * sin_minus + tc * tc * (coef_g * sum_g + coef_h * tc * sum_h)
-            s = np.where(near, fast * series, s)
-
-        em = np.expm1(two_sigma * neg_t)
+        em = np.expm1(two_sigma * -t)
         u = np.exp(lam_plus * t) * (1.0 + coh_em * em + coh_lin * t)
-        return s, u
+        return u.real * u.real + u.imag * u.imag, u
 
     return at
 
@@ -247,7 +168,7 @@ def _checked_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a non-empty 1-d array of finite values")
-    # the slow/fast split is bounded only forward in time
+    # u's expm1(-2 sigma t) grows without bound backward in time
     if np.any(times < 0.0):
         raise ValueError("times must be >= 0")
     return times
@@ -257,10 +178,9 @@ def responses(params: ModelParams, k: int, times) -> tuple[np.ndarray, np.ndarra
     """Population and coherence responses (s, u) of pair k at each time.
 
     ``times`` is a non-empty 1-d array of finite times >= 0, in any order.
-    s(t) = exp(B t)_00 and u(t) = exp(C t)_00 for the blocks of
-    ``build_generator(params, k)``, whose relations b01 b10 = b13 b31, real
-    products b_ij b_ji and diagonal (0, -gamma, -gamma, -2 gamma) the closed
-    forms rely on.
+    u(t) = exp(C t)_00 for the coherence block C of
+    ``build_generator(params, k)``, and s(t) = exp(B t)_00 = |u(t)|^2 for
+    its population block B (see the module docstring).
     """
     s, u = _response_evaluator([(params, k)])(_checked_times(times))
     return s[0], u[0]

@@ -51,15 +51,14 @@ CONFIG_FAULTS = [
 SCENARIOS = [
     {"name": "fig3", "argv": ["simulate", "--preset", "fig3", "--out", "{out}"]},
     {"name": "fig6", "argv": ["simulate", "--preset", "fig6", "--out", "{out}"]},
-    # the zero-detuning exceptional point alpha = gamma_eff / 2, where s is
-    # summed as a series throughout
+    # the zero-detuning exceptional point alpha = gamma_eff / 2, where the
+    # coherence block is defective
     {
         "name": "exceptional",
         "argv": SIMULATE,
         "config": "delta1 = 0\nalpha1 = 0.25\ngamma = 0.5\nnbar = 0\n",
     },
-    # alpha = gamma_eff / 4, where the series gives way to the difference
-    # quotients at t = 2.31
+    # alpha = gamma_eff / 4, overdamped, half way to the exceptional point
     {
         "name": "switch",
         "argv": SIMULATE,
@@ -92,7 +91,7 @@ SCENARIOS = [
         ],
     },
     # a grid to t = 1e20: refining the death near t = 36 evaluates the
-    # response series beside times up to 1e20, which must stay quiet
+    # responses beside times up to 1e20, which must stay quiet
     {
         "name": "long-grid",
         "argv": SIMULATE,

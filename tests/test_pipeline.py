@@ -36,8 +36,8 @@ def test_simulate_shapes_and_initial_state():
 
 
 def test_long_grid_refinement_is_quiet():
-    # refinement times near 0 run the response series on every time, the far
-    # ones included, and no numpy warning may escape
+    # refinement evaluates the responses at times near 0 beside times up to
+    # 1e20 in one call, and no numpy warning may escape
     params = ModelParams.from_detunings(
         omega1=10.0, delta1=0.0, delta2=0.0,
         alpha1=0.3, alpha2=0.3, gamma=1.0, nbar=0.0,
@@ -131,16 +131,16 @@ def test_cell_precursor_matches_single_time_evolution(name):
 
 @pytest.mark.parametrize("nbar", [0.0, 0.2])
 def test_cell_precursor_at_exceptional_point(nbar):
-    # zero detuning: both blocks are defective at alpha = gamma_eff / 2, and
-    # at alpha = gamma_eff / 4 the series for s gives way to the difference
-    # quotient at t = 1 / sqrt(x+ - x-) = 2 / (sqrt(3) gamma_eff)
+    # zero detuning: both blocks are defective at alpha = gamma_eff / 2; at
+    # alpha = gamma_eff / 4 the cells also hold times around
+    # t = 2 / (sqrt(3) gamma_eff)
     gamma = 0.5
     gamma_eff = gamma * (2.0 * nbar + 1.0)
-    switch = 2.0 / (np.sqrt(3.0) * gamma_eff)
+    center = 2.0 / (np.sqrt(3.0) * gamma_eff)
     for alpha, extra in (
         (0.5 * gamma_eff, ()),
         (0.5 * gamma_eff * (1.0 - 1e-6), ()),
-        (0.25 * gamma_eff, switch * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))),
+        (0.25 * gamma_eff, center * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))),
     ):
         params = ModelParams.from_detunings(
             omega1=10.0, delta1=0.0, delta2=0.0, alpha1=alpha, alpha2=alpha,

@@ -291,7 +291,7 @@ def test_long_grid_matches_high_precision(name):
 
 
 def test_far_times_beside_near_ones_are_quiet():
-    # t = 0 runs the divided-difference series, t = 1e20 must not overflow in it
+    # t = 1e20 beside t = 0 in one call must neither overflow nor change t = 0
     params = preset_params("fig3")
     init = initial_coefficients(InitialTerm.EE, params.nbar)
     times = [0.0, 1e20]
@@ -355,7 +355,7 @@ def test_matrix_signatures_raise_type_error():
 
 
 def test_negative_times_rejected():
-    # the slow/fast split of s is bounded only forward in time
+    # u's expm1(-2 sigma t) grows without bound backward in time
     params = ModelParams.from_detunings(
         omega1=10.0, delta1=0.0, delta2=0.0, alpha1=1.0, alpha2=1.0, gamma=0.0, nbar=0.0,
     )
@@ -382,8 +382,8 @@ def test_coherence_where_the_frequency_cancels_sigma():
         assert abs(u_t - high_precision_responses(gen, t)[1]) <= 8.0 * EPS * (1.0 + 4.0 * t)
 
 
-def test_nbar_enters_s_only_through_gamma_eff():
-    # s depends on (gamma, nbar) only through gamma_eff = (2 nbar + 1) gamma
+def test_nbar_enters_responses_only_through_gamma_eff():
+    # s and u depend on (gamma, nbar) only through gamma_eff = (2 nbar + 1) gamma
     times = TimeGrid(10.0, 201).points
     cold = ModelParams.from_detunings(
         omega1=10.0, delta1=0.7, delta2=0.7, alpha1=1.5, alpha2=1.5, gamma=1.5, nbar=0.0,
@@ -392,21 +392,22 @@ def test_nbar_enters_s_only_through_gamma_eff():
         omega1=10.0, delta1=0.7, delta2=0.7, alpha1=1.5, alpha2=1.5, gamma=0.5, nbar=1.0,
     )
     assert cold.gamma_eff == warm.gamma_eff
-    s_cold, _ = responses(cold, 1, times)
-    s_warm, _ = responses(warm, 1, times)
+    s_cold, u_cold = responses(cold, 1, times)
+    s_warm, u_warm = responses(warm, 1, times)
     assert np.array_equal(s_cold, s_warm)
+    assert np.array_equal(u_cold, u_warm)
 
 
 @pytest.mark.parametrize("nbar", [0.0, 0.2])
-def test_series_and_quotient_agree_where_they_meet(nbar):
-    # at zero detuning and alpha = gamma_eff / 4, x+ - x- = 3 gamma_eff^2 / 4,
-    # so s switches from the series to the difference quotients at
-    # t = 2 / (sqrt(3) gamma_eff); both sides match 50-digit exponentials
+def test_population_near_the_exceptional_point_matches_high_precision(nbar):
+    # at zero detuning and alpha = gamma_eff / 4, half way to the exceptional
+    # point alpha = gamma_eff / 2, s = |u|^2 matches the 50-digit exponential
+    # of the population block to 2 eps around t = 2 / (sqrt(3) gamma_eff)
     gamma_eff = 0.5 * (2.0 * nbar + 1.0)
     params = resonant(0.25 * gamma_eff, 0.5, nbar)
     gen = build_generator(params, 1)
-    switch = 2.0 / (np.sqrt(3.0) * gamma_eff)
-    times = switch * (1.0 + np.array([-1e-6, -1e-15, 0.0, 1e-15, 1e-6]))
+    center = 2.0 / (np.sqrt(3.0) * gamma_eff)
+    times = center * (1.0 + np.array([-1e-6, -1e-15, 0.0, 1e-15, 1e-6]))
     s, _ = responses(params, 1, times)
     for t, value in zip(times, s):
         assert abs(value - high_precision_responses(gen, t)[0]) <= 2.0 * EPS
