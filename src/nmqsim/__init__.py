@@ -17,7 +17,16 @@ tests of the reduced maps.
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, Scenario, SweepSpec, parse_scenario, parse_sweep
+from .config import (
+    PRESETS,
+    ConfigError,
+    Scenario,
+    SweepSpec,
+    default_grid,
+    parse_scenario,
+    parse_sweep,
+    preset_params,
+)
 from .entanglement import (
     EntanglementEvent,
     EntanglementSeries,
@@ -44,7 +53,6 @@ from .oracle import (
     partial_trace_34,
 )
 from .pipeline import RunHealthError, SimulationResult, simulate
-from .presets import PRESETS, default_grid, preset_params
 from .propagator import TimeGrid, evolve_x_state, responses, slow_solution, x_matrix
 
 __all__ = [

@@ -14,9 +14,11 @@ RuntimeError, such as a crossing the event refinement cannot bracket).  A
 sweep runs its points one after another on one thread, and a failing point
 is named in its ``numerical failure:`` line.
 
-An event's ``precise`` flag is the library's only record of a crossing
-that the time grid did not resolve.  This module reports those flags, in
-one ``warning:`` line on stderr per ``simulate`` or ``sweep`` run.
+An event's ``precise`` flag is the library's only record of a dead
+interval shorter than two grid steps.  Its crossing times are refined like
+any other, but a grid that barely resolves such a dip may miss others like
+it.  This module reports those flags, in one ``warning:`` line on stderr
+per ``simulate`` or ``sweep`` run.
 """
 
 import argparse
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, Scenario, parse_scenario, parse_sweep
+from .config import PRESETS, ConfigError, Scenario, default_grid, parse_scenario, parse_sweep
 from .entanglement import EventKind, extract_events
 from .output import (
     format_number,
@@ -37,7 +39,6 @@ from .output import (
     write_trajectory_csv,
 )
 from .pipeline import simulate
-from .presets import PRESETS, default_grid
 from .verify import run_full, run_quick
 
 EXIT_OK = 0
@@ -79,7 +80,7 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _warn_grid_limited(limited: list, total: int, what: str) -> None:
-    """One stderr line for the run, naming the items the grid resolution limits."""
+    """One stderr line for the run, naming the items the grid barely resolves."""
     if limited:
         print(f"warning: {len(limited)} of {total} {what}: " + "; ".join(limited), file=sys.stderr)
 
@@ -90,7 +91,8 @@ def cmd_simulate(args) -> int:
     events = extract_events(result.series, threshold=scenario.threshold)
     limited = [f"{e.kind.value} at t={format_number(e.time)}" for e in events if not e.precise]
     _warn_grid_limited(limited, len(events), "events border a dead interval shorter than two "
-                       "grid steps, so their crossing times are grid-resolution limited")
+                       "grid steps, so the grid barely resolves such dips and may miss others "
+                       "like them")
     out = Path(args.out)
     files = [out / "trajectory.csv", out / "events.csv"]
     out.mkdir(parents=True, exist_ok=True)
@@ -105,9 +107,9 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_row(assignment, params, grid, threshold):
-    """One sweep.csv row, and whether its crossings and its live intervals are grid-resolved.
+    """One sweep.csv row, and whether its dead and its live intervals are grid-resolved.
 
-    Crossings are resolved when every event is precise.  A live interval,
+    Dead intervals are resolved when every event is precise.  A live interval,
     from t = 0 or a REVIVAL to the next DEATH or FINAL_DEATH, is resolved
     when it spans at least two grid steps; a shorter one leaves the
     concurrence integral to the trapezoid's few samples.
@@ -147,7 +149,8 @@ def cmd_sweep(args) -> int:
         if not live_resolved:
             short_lived.append(named)
     _warn_grid_limited(limited, len(rows), "sweep rows have a dead interval shorter than two "
-                       "grid steps, so their crossing times are grid-resolution limited")
+                       "grid steps, so the grid barely resolves such dips and may miss others "
+                       "like them")
     _warn_grid_limited(short_lived, len(rows), "sweep rows have a live interval shorter than "
                        "two grid steps, so their concurrence_integral is grid-resolution limited")
 

@@ -34,6 +34,16 @@ threshold, and then builds every point's parameters for both readers, so
 a file with a fault in each names the same one from either command, and a
 bad value in any axis is a configuration error before the first point
 runs.  Plots are a switch of the ``simulate`` command line, not a key.
+
+The preset table and the grid defaults live here too, beside the reader
+that interprets them.  The nine presets are the paper's regimes: detuned
+and resonant underdamped oscillations, critically slow exchange, the
+memoryless strong-damping limit, and their finite-temperature
+counterparts.  A preset fixes delta, alpha, gamma and nbar, and the
+reader's defaults give the rest (omega1 = omega2 = 10, symmetric pairs).
+``preset_params(name)`` is the parameters of the one-line file
+``preset = name``, so ``simulate --preset``, preset files, ``verify`` and
+the library all build a preset the same way.
 """
 
 import itertools
@@ -44,10 +54,12 @@ import numpy as np
 
 from .entanglement import DEFAULT_THRESHOLD
 from .model import ModelParams, ParameterError
-from .presets import DEFAULT_NUM_POINTS, DEFAULT_T_END, PRESETS
 from .propagator import TimeGrid
 
-__all__ = ["ConfigError", "Scenario", "SweepSpec", "parse_scenario", "parse_sweep"]
+__all__ = [
+    "ConfigError", "PRESETS", "Preset", "Scenario", "SweepSpec",
+    "default_grid", "parse_scenario", "parse_sweep", "preset_params",
+]
 
 SWEEP_CAP = 100_000
 # largest num_points accepted; a run holds a few arrays of this length
@@ -60,6 +72,44 @@ _PHYSICAL_KEYS = (
 _GRID_KEYS = ("t_end", "num_points")
 _OTHER_KEYS = ("preset", "threshold")
 _ALL_KEYS = _PHYSICAL_KEYS + _GRID_KEYS + _OTHER_KEYS
+
+# default reproduction window; wide enough to show every regime's tail
+DEFAULT_T_END = 10.0
+DEFAULT_NUM_POINTS = 2001
+
+
+@dataclass(frozen=True)
+class Preset:
+    name: str
+    delta: float
+    alpha: float
+    gamma: float
+    nbar: float
+    note: str
+
+
+_TABLE = (
+    Preset("fig2", 2.0, 2.0, 0.5, 0.0,
+           "detuned, underdamped: concurrence oscillates but never reaches zero"),
+    Preset("fig3", 0.0, 2.0, 0.5, 0.0,
+           "resonant, underdamped: entanglement dies at instants and revives"),
+    Preset("fig4", 0.0, 0.5, 0.5, 0.0,
+           "slow exchange: non-oscillatory decay"),
+    Preset("fig5", 0.0, 3.0, 27.0, 0.0,
+           "strong damping: memoryless exponential decay, rate 1/3"),
+    Preset("fig6", 0.0, 5.0, 1.0 / 3.0, 0.2,
+           "warm, fast exchange: damped oscillation with sudden death"),
+    Preset("fig7", 2.0, 2.0, 0.5, 0.2,
+           "warm, detuned: sudden death despite detuning"),
+    Preset("fig8", 0.0, 2.0, 0.5, 0.2,
+           "warm, resonant: entanglement gone for good within half a period"),
+    Preset("fig9", 0.0, 0.5, 1.0, 0.2,
+           "warm, slow exchange: single sudden death"),
+    Preset("fig10", 0.0, 3.0, 27.0, 0.2,
+           "warm memoryless limit: exponential decay into sudden death"),
+)
+
+PRESETS = {p.name: p for p in _TABLE}
 
 
 class ConfigError(ValueError):
@@ -272,3 +322,14 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ConfigError("sweeps take explicit parameters, not presets", key="preset")
     _check_forms(pairs)
     return _sweep_spec(pairs, _physical_values(pairs))
+
+
+def preset_params(name: str) -> ModelParams:
+    """The parameters of the scenario file ``preset = name``."""
+    if name not in PRESETS:
+        raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    return parse_scenario(f"preset = {name}\n").params
+
+
+def default_grid() -> TimeGrid:
+    return TimeGrid(DEFAULT_T_END, DEFAULT_NUM_POINTS)

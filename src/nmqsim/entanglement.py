@@ -170,10 +170,11 @@ class EntanglementEvent:
     precursor, or on the linear interpolant of the samples when the series
     has none.
     precise is False when the dead interval spans a single grid sample
-    (sign pattern + - + across adjacent points), in which case the time
-    is only grid-resolution accurate.  The flag is the library's only
-    record of such a crossing: nothing is warned, and callers that want
-    to report it read ``event.precise``.
+    (sign pattern + - + across adjacent points).  Its time is refined
+    like any other; the flag says that the grid barely resolves the dip
+    and may miss others like it between two samples.  The flag is the
+    library's only record of such a dip: nothing is warned, and callers
+    that want to report it read ``event.precise``.
     """
 
     kind: EventKind

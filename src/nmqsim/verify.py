@@ -1,8 +1,11 @@
 """Self-verification suites run by the `verify` CLI subcommand.
 
 Every check reads the primary path the way a user gets it: each preset's
-state and concurrence come from :func:`~nmqsim.pipeline.simulate`, the
-function that writes ``trajectory.csv``, with its run-health check.
+parameters come from :func:`~nmqsim.config.preset_params`, which reads
+``preset = name`` through ``parse_scenario`` as ``simulate --preset``
+does, and its state and concurrence from
+:func:`~nmqsim.pipeline.simulate`, the function that writes
+``trajectory.csv``, with its run-health check.
 
 quick: physicality, and the eigenvalue-route concurrence against the
 printed concurrence, on every preset.  Both checks of a preset read one
@@ -32,6 +35,7 @@ from functools import cache, partial
 
 import numpy as np
 
+from .config import PRESETS, default_grid, preset_params
 from .entanglement import state_certificate
 from .model import InitialTerm, ModelParams, initial_coefficients
 from .nzkernel import solve_nz
@@ -45,7 +49,6 @@ from .oracle import (
     subsystem_transfer_matrix,
 )
 from .pipeline import simulate
-from .presets import PRESETS, default_grid
 from .propagator import TimeGrid, slow_solution, x_matrix
 
 __all__ = ["CheckResult", "run_quick", "run_full"]
@@ -108,10 +111,10 @@ def run_quick(grid: TimeGrid | None = None):
     """Physicality plus concurrence-route agreement on all presets."""
     grid = grid or default_grid()
     results = []
-    for name, preset in PRESETS.items():
+    for name in PRESETS:
         # one run and certificate shared by both checks; a run that raises
         # raises for each
-        certificate = cache(partial(_certificate, preset.params(), grid))
+        certificate = cache(partial(_certificate, preset_params(name), grid))
         results.append(_checked(f"physicality[{name}]", _physicality, certificate))
         results.append(_checked(f"concurrence-routes[{name}]", _concurrence_routes, certificate))
     return results
@@ -121,7 +124,7 @@ _ORACLE_PRESETS = ("fig2", "fig3", "fig6")
 
 
 def _oracle_equivalence(name: str, grid: TimeGrid):
-    params = PRESETS[name].params()
+    params = preset_params(name)
     primary, _ = _primary(params, grid)
     full0 = full_initial_state(bell_state(), params.nbar)
     reduced = partial_trace_34(evolve_full(params, full0, grid))
@@ -144,7 +147,7 @@ def _choi_positivity(nbar: float):
 
 
 def _nz_volterra(t_end: float):
-    params = PRESETS["fig4"].params()
+    params = preset_params("fig4")
     inits = [initial_coefficients(term, params.nbar) for term in (InitialTerm.EE, InitialTerm.EG)]
     devs = {}
     for dt in (2e-3, 1e-3):
@@ -159,7 +162,7 @@ def _nz_volterra(t_end: float):
 
 
 def _map_factorization(name: str, t: float):
-    params = PRESETS[name].params()
+    params = preset_params(name)
     primary = _primary(params, TimeGrid(t, 3))[0][-1]
     t1 = subsystem_transfer_matrix(params, 1, t)
     t2 = subsystem_transfer_matrix(params, 2, t)

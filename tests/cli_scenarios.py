@@ -98,16 +98,17 @@ SCENARIOS = [
         "config": "t_end = 1e20\nalpha1 = 0.3\ngamma = 1\n",
         "exact": [("FINAL_DEATH", "35.7166067514740897278740964599")],
     },
-    # 101 points cannot resolve the first dead interval: one warning line
-    # names exactly the two events that events.csv marks imprecise
+    # 101 points barely resolve the first dead interval: one warning line
+    # names exactly the two events that events.csv marks imprecise (their
+    # times are refined; the grid misses six events that finer grids find)
     {
         "name": "coarse-events",
         "argv": SIMULATE,
         "config": "alpha1 = 3\nnum_points = 101\n",
         "stderr": (
-            "warning: 2 of 7 events border a dead interval shorter than two grid steps, so their "
-            "crossing times are grid-resolution limited: DEATH at t=1.5885003329; "
-            "REVIVAL at t=1.6959064409\n"
+            "warning: 2 of 7 events border a dead interval shorter than two grid steps, so the "
+            "grid barely resolves such dips and may miss others like them: "
+            "DEATH at t=1.5885003329; REVIVAL at t=1.6959064409\n"
         ),
         "lines": {
             "events.csv": [
@@ -128,8 +129,8 @@ SCENARIOS = [
         "name": "coarse-events-sweep",
         "argv": ["sweep", "{root}/coarse-events.cfg", "--out", "{out}"],
         "stderr": (
-            "warning: 1 of 1 sweep rows have a dead interval shorter than two grid steps, so their "
-            "crossing times are grid-resolution limited: the only point\n"
+            "warning: 1 of 1 sweep rows have a dead interval shorter than two grid steps, so the "
+            "grid barely resolves such dips and may miss others like them: the only point\n"
         ),
     },
     # a revival level sqrt(threshold) below the death level is refused

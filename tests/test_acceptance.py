@@ -15,11 +15,11 @@ import time
 import numpy as np
 import pytest
 
+from nmqsim.config import PRESETS, default_grid, preset_params
 from nmqsim.entanglement import EventKind, extract_events, markovian_rate
 from nmqsim.model import InitialTerm, ModelParams, initial_coefficients
 from nmqsim.nzkernel import solve_nz
 from nmqsim.pipeline import simulate
-from nmqsim.presets import PRESETS, default_grid, preset_params
 from nmqsim.propagator import TimeGrid, slow_solution, x_matrix
 from nmqsim.verify import run_full
 

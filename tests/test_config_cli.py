@@ -16,13 +16,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cli_scenarios import SCENARIOS, run_scenarios
-from nmqsim import propagator, verify
+from nmqsim import config, propagator, verify
 from nmqsim.cli import main
-from nmqsim.config import GRID_CAP, SWEEP_CAP, ConfigError, parse_scenario, parse_sweep
+from nmqsim.config import (
+    GRID_CAP,
+    PRESETS,
+    SWEEP_CAP,
+    ConfigError,
+    default_grid,
+    parse_scenario,
+    parse_sweep,
+    preset_params,
+)
 from nmqsim.entanglement import EventKind, entanglement_of_formation, extract_events
+from nmqsim.model import ModelParams
 from nmqsim.output import format_number, scenario_hash
 from nmqsim.pipeline import RunHealthError, simulate
-from nmqsim.presets import PRESETS, default_grid, preset_params
 from nmqsim.propagator import TimeGrid
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,10 +51,19 @@ PRESET_TABLE = {
 }
 
 
+def _table_params(name):
+    """The preset's parameters from PRESET_TABLE, built without the scenario reader."""
+    delta, alpha, gamma, nbar = PRESET_TABLE[name]
+    return ModelParams.from_detunings(
+        omega1=10.0, delta1=delta, delta2=delta,
+        alpha1=alpha, alpha2=alpha, gamma=gamma, nbar=nbar,
+    )
+
+
 def test_builtin_parameter_table():
     assert set(PRESETS) == set(PRESET_TABLE)
     for name, (delta, alpha, gamma, nbar) in PRESET_TABLE.items():
-        p = PRESETS[name].params()
+        p = preset_params(name)
         assert p.omega1 == 10.0 and p.omega2 == 10.0
         for k in (1, 2):
             omega, omega_aux, _ = p.pair(k)
@@ -94,11 +112,29 @@ threshold = 1e-5
 
 
 def test_scenario_with_preset_key():
-    # a preset file resolves to exactly its preset's parameters
-    for name, preset in PRESETS.items():
+    # a preset file resolves to exactly its row of the table
+    for name in PRESETS:
         sc = parse_scenario(f"preset = {name}\nt_end = 5\n")
-        assert sc.params == preset.params()
+        assert sc.params == _table_params(name)
         assert sc.grid.t_end == 5.0
+
+
+def test_presets_are_built_by_the_scenario_reader(monkeypatch):
+    # the library and verify take a preset's parameters from the reader
+    # that simulate --preset uses, not from a construction of their own
+    built, real = [], config._build_params
+
+    def recording(values):
+        built.append(real(values))
+        return built[-1]
+
+    monkeypatch.setattr(config, "_build_params", recording)
+    assert preset_params("fig3") == _table_params("fig3")
+    assert built == [_table_params("fig3")]
+    built.clear()
+    results = verify.run_quick(TimeGrid(1.0, 3))
+    assert len(results) == 2 * len(PRESETS) and all(r.passed for r in results)
+    assert built == [_table_params(name) for name in PRESETS]
 
 
 def test_scenario_errors():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nmqsim.config import default_grid, preset_params
 from nmqsim.entanglement import (
     EntanglementEvent,
     EntanglementSeries,
@@ -21,7 +22,6 @@ from nmqsim.entanglement import (
 )
 from nmqsim.model import ModelParams
 from nmqsim.pipeline import simulate
-from nmqsim.presets import default_grid, preset_params
 from nmqsim.propagator import TimeGrid, x_matrix
 
 BELL = 0.5 * np.array([

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from nmqsim.config import preset_params
 from nmqsim.model import (
     P_INDICES,
     Q_INDICES,
@@ -13,7 +14,6 @@ from nmqsim.model import (
     initial_coefficients,
 )
 from nmqsim.nzkernel import build_kernel, solve_nz
-from nmqsim.presets import preset_params
 from nmqsim.propagator import TimeGrid, slow_solution
 
 _P, _Q = list(P_INDICES), list(Q_INDICES)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from nmqsim.config import preset_params
 from nmqsim.model import ModelParams, build_generator, thermal_state
 from nmqsim.oracle import (
     apply_product_map,
@@ -21,7 +22,6 @@ from nmqsim.oracle import (
     subsystem_transfer_matrix,
 )
 from nmqsim.pipeline import simulate
-from nmqsim.presets import preset_params
 from nmqsim.propagator import TimeGrid, x_matrix
 
 SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # raises |0> to |1> (excited first)

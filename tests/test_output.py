@@ -2,9 +2,9 @@
 
 import pytest
 
+from nmqsim.config import default_grid, preset_params
 from nmqsim.output import write_trajectory_csv
 from nmqsim.pipeline import simulate
-from nmqsim.presets import default_grid, preset_params
 
 
 def reference_trajectory_csv(path, result):

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 from high_precision import high_precision_responses
 from nmqsim import propagator
+from nmqsim.config import PRESETS, default_grid, preset_params
 from nmqsim.entanglement import (
     EventKind,
     extract_events,
@@ -17,7 +18,6 @@ from nmqsim.entanglement import (
 )
 from nmqsim.model import ModelParams, build_generator
 from nmqsim.pipeline import RunHealthError, _check_health, simulate
-from nmqsim.presets import PRESETS, default_grid, preset_params
 from nmqsim.propagator import TimeGrid, evolve_x_state, x_matrix, x_state_from_responses
 
 

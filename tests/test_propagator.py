@@ -9,11 +9,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from high_precision import high_precision_responses
+from nmqsim.config import preset_params
 from nmqsim.entanglement import state_certificate
 from nmqsim.model import P_INDICES, InitialTerm, ModelParams, build_generator, initial_coefficients
 from nmqsim.nzkernel import build_kernel, solve_nz
 from nmqsim.oracle import apply_product_map, bell_state, subsystem_transfer_matrix
-from nmqsim.presets import preset_params
 from nmqsim.propagator import (
     TimeGrid,
     evolve_x_state,

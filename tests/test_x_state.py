@@ -3,9 +3,9 @@
 import numpy as np
 import scipy.linalg
 
+from nmqsim.config import preset_params
 from nmqsim.entanglement import state_certificate
 from nmqsim.model import build_generator
-from nmqsim.presets import preset_params
 from nmqsim.propagator import TimeGrid, evolve_x_state, x_matrix, x_state_from_responses
 
 BELL = 0.5 * np.array([
