@@ -5,9 +5,7 @@ docstrings, where a docstring is a logical line that is one bare string.
 Every other physical line that a token touches is a code line.  Prints
 one line per module, largest first, then the total.
 
-    python tools/code_size.py [PACKAGE_DIR]
-
-PACKAGE_DIR defaults to src/nmqsim beside this script's directory.
+    python tools/code_size.py
 """
 
 import sys
@@ -32,9 +30,8 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv) -> int:
-    default = Path(__file__).resolve().parent.parent / "src" / "nmqsim"
-    root = Path(argv[1]) if len(argv) > 1 else default
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "nmqsim"
     counts = {path.stem: code_lines(path) for path in sorted(root.glob("*.py"))}
     for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         print(f"{name:14} {count:5}")
@@ -43,4 +40,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
